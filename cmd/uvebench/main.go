@@ -23,6 +23,11 @@
 // byte-identical either way). -json emits machine-readable results for
 // BENCH_*.json trajectory tracking instead of the text tables.
 //
+// -fidelity functional replaces the experiments with one sweep of the
+// kernel × variant matrix through the program-order tier (output checks
+// and memory digests, no timing); combining it with -exp or -stalls is a
+// usage error.
+//
 // -exp faults runs every kernel on UVE and SVE under a grid of seeded
 // deterministic fault campaigns and checks each faulted run's final memory
 // image against the fault-free run. -faults replaces the default campaign
@@ -63,10 +68,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	// The functional sweep has no experiments to select: an explicit -exp
+	// is rejected like the other cycle-tier flags.
 	var timingFlags []string
-	if *stalls {
-		timingFlags = append(timingFlags, "-stalls")
-	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "exp" || (f.Name == "stalls" && *stalls) {
+			timingFlags = append(timingFlags, "-"+f.Name)
+		}
+	})
 	if err := fid.RejectTimingFlags(timingFlags...); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/fault"
 	"repro/internal/kernels"
 	"repro/internal/sim"
@@ -11,47 +13,71 @@ import (
 )
 
 // TestBenchMemoKeyCoversOptions asserts every sim.Options field that
-// changes what a simulation computes or measures separates memo keys. A
-// field missing from configFP would let two different runs share a result
-// (the pre-existing bug this PR fixes for Sanitize, and guards for the new
-// fault/watchdog/hash options).
+// changes what a simulation computes or measures moves the config hash —
+// the one configuration identity behind both the runner's memo key and
+// FingerprintJob. A field it missed would let two different runs share a
+// result; the reflection pass makes a newly added Options field fail here
+// until it is given a mutation (and a place in jobConfigFP).
 func TestBenchMemoKeyCoversOptions(t *testing.T) {
 	k := kernels.ByID("C")
 	base := func() *sim.Options {
 		o := sim.DefaultOptions(kernels.UVE)
 		return &o
 	}
-	job := func(o *sim.Options) Job { return Job{Kernel: k, Variant: kernels.UVE, Size: 32, Opts: o} }
-	ref := keyOf(job(base()))
+	job := func(o *sim.Options) *Job { return &Job{Kernel: k, Variant: kernels.UVE, Size: 32, Opts: o} }
+	key := func(j *Job) cellKey {
+		t.Helper()
+		ck, err := keyOf(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ck
+	}
+	ref := key(job(base())).cfg
 
 	plan := fault.DefaultPlan(3)
+	l2 := arch.LevelL2
 	mutations := map[string]func(o *sim.Options){
+		"Core":         func(o *sim.Options) { o.Core.ROBSize++ },
+		"Eng":          func(o *sim.Options) { o.Eng.FIFODepth++ },
+		"ForceLevel":   func(o *sim.Options) { o.Eng.ForceLevel = &l2 },
+		"Hier":         func(o *sim.Options) { o.Hier.L2.SizeBytes *= 2 },
+		"Fidelity":     func(o *sim.Options) { o.Fidelity = sim.Functional },
 		"SkipCheck":    func(o *sim.Options) { o.SkipCheck = true },
 		"Sanitize":     func(o *sim.Options) { o.Sanitize = sim.SanitizeOn },
 		"SanitizeAuto": func(o *sim.Options) { o.Sanitize = sim.SanitizeAuto },
-		"HashMem":      func(o *sim.Options) { o.HashMem = true },
+		"Trace":        func(o *sim.Options) { o.Trace = trace.NewCollector(8, 0) },
+		"Faults":       func(o *sim.Options) { o.Faults = &plan },
 		"Watchdog":     func(o *sim.Options) { o.Watchdog = 12345 },
 		"MaxCycles":    func(o *sim.Options) { o.MaxCycles = 99999 },
-		"Faults":       func(o *sim.Options) { o.Faults = &plan },
-		"Trace":        func(o *sim.Options) { o.Trace = trace.NewCollector(8, 0) },
-		"Core":         func(o *sim.Options) { o.Core.ROBSize++ },
-		"Eng":          func(o *sim.Options) { o.Eng.FIFODepth++ },
-		"Fidelity":     func(o *sim.Options) { o.Fidelity = sim.Functional },
+		"HashMem":      func(o *sim.Options) { o.HashMem = true },
+	}
+	opts := reflect.TypeOf(sim.Options{})
+	for i := 0; i < opts.NumField(); i++ {
+		if name := opts.Field(i).Name; mutations[name] == nil {
+			t.Errorf("sim.Options.%s has no mutation here: decide whether it shapes results and cover it in jobConfigFP", name)
+		}
 	}
 	for name, mut := range mutations {
 		o := base()
 		mut(o)
-		if keyOf(job(o)) == ref {
-			t.Errorf("Options.%s does not separate memo keys", name)
+		if key(job(o)).cfg == ref {
+			t.Errorf("Options.%s does not move the config hash", name)
 		}
 	}
 
-	// Equal fault plans behind distinct pointers must share a key.
+	// Equal fault plans behind distinct pointers share a key.
 	pa, pb := fault.DefaultPlan(3), fault.DefaultPlan(3)
 	oa, ob := base(), base()
 	oa.Faults, ob.Faults = &pa, &pb
-	if keyOf(job(oa)) != keyOf(job(ob)) {
+	if key(job(oa)) != key(job(ob)) {
 		t.Error("equal fault plans behind different pointers got different keys")
+	}
+
+	// Size 0 runs the kernel's DefaultSize, so it names the same cell; nil
+	// Opts are the variant's defaults.
+	if key(&Job{Kernel: k, Variant: kernels.UVE}) != key(&Job{Kernel: k, Variant: kernels.UVE, Size: k.DefaultSize, Opts: base()}) {
+		t.Error("Size 0 / nil Opts and DefaultSize / default Opts got different keys")
 	}
 }
 

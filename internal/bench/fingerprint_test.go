@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"context"
-	"errors"
-	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -63,8 +60,8 @@ func TestFingerprintJobSeparates(t *testing.T) {
 	}
 
 	// Trace identity reduces to presence: two different collectors are the
-	// same fingerprint (unlike the in-process memo key, which must keep
-	// per-collector runs separate).
+	// same fingerprint (the runner keeps per-collector runs apart by never
+	// memoizing traced jobs).
 	ta, err := FingerprintJob(opt(func(o *sim.Options) { o.Trace = trace.NewCollector(16, 0) }))
 	if err != nil {
 		t.Fatal(err)
@@ -92,78 +89,5 @@ func TestFingerprintJobDefaultSize(t *testing.T) {
 	}
 	if h0 != hd {
 		t.Fatal("Size 0 and DefaultSize fingerprint differently")
-	}
-}
-
-// TestFingerprintCoversConfigFP: every field of the in-process memo
-// fingerprint (configFP) must have a declared counterpart in the
-// cross-process fingerprint (jobConfigFP), so a result-shaping Options
-// axis can never be added to one and forgotten in the other.
-func TestFingerprintCoversConfigFP(t *testing.T) {
-	covered := map[string]string{
-		"core":       "Core",
-		"hier":       "Hier",
-		"eng":        "Eng",
-		"forceLevel": "Eng", // HashConfig hashes the pointee through Eng.ForceLevel
-		"hasForce":   "Eng",
-		"skipCheck":  "SkipCheck",
-		"sanitize":   "Sanitize",
-		"hashMem":    "HashMem",
-		"watchdog":   "Watchdog",
-		"maxCycles":  "MaxCycles",
-		"faults":     "Faults",
-		"hasFaults":  "HasFaults",
-		"rec":        "Traced", // identity reduced to presence across processes
-		"fidelity":   "Fidelity",
-	}
-	fpType := reflect.TypeOf(configFP{})
-	jobType := reflect.TypeOf(jobConfigFP{})
-	for i := 0; i < fpType.NumField(); i++ {
-		name := fpType.Field(i).Name
-		target, ok := covered[name]
-		if !ok {
-			t.Errorf("configFP field %q has no jobConfigFP counterpart: update jobConfigFP and this map", name)
-			continue
-		}
-		if _, ok := jobType.FieldByName(target); !ok {
-			t.Errorf("configFP field %q maps to missing jobConfigFP field %q", name, target)
-		}
-	}
-}
-
-// TestJobCtxCancelEvicts: a canceled execution must not poison the memo
-// table — the next submission of the same simulation re-executes and
-// succeeds.
-func TestJobCtxCancelEvicts(t *testing.T) {
-	r := NewRunner(1)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	j := Job{Kernel: kernels.ByID("A"), Variant: kernels.UVE, Size: 96, Ctx: ctx}
-	_, err := r.Run(j)
-	if err == nil {
-		t.Fatal("pre-canceled job did not fail")
-	}
-	var ce *sim.CanceledError
-	if !errors.As(err, &ce) {
-		t.Fatalf("error is %T (%v), want *sim.CanceledError", err, err)
-	}
-	if s := r.Stats(); s.CancelEvicted != 1 {
-		t.Fatalf("CancelEvicted = %d, want 1", s.CancelEvicted)
-	}
-
-	j.Ctx = nil
-	res, err := r.Run(j)
-	if err != nil {
-		t.Fatalf("resubmission after eviction failed: %v", err)
-	}
-	if res == nil || res.Cycles <= 0 {
-		t.Fatal("resubmission did not produce a real result")
-	}
-	s := r.Stats()
-	if s.Simulated != 2 {
-		t.Fatalf("Simulated = %d, want 2 (canceled run + re-execution)", s.Simulated)
-	}
-	if s.MemoHits != 0 {
-		t.Fatalf("MemoHits = %d, want 0 (canceled entry must not satisfy lookups)", s.MemoHits)
 	}
 }

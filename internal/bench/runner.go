@@ -2,19 +2,14 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 
-	"repro/internal/arch"
-	"repro/internal/cpu"
-	"repro/internal/engine"
-	"repro/internal/fault"
 	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // Job identifies one simulation: a kernel (or a custom instance factory),
@@ -26,15 +21,6 @@ type Job struct {
 	Variant kernels.Variant
 	Size    int
 	Opts    *sim.Options // nil = sim.DefaultOptions(Variant)
-
-	// Ctx, when non-nil, bounds the job's execution: a done context aborts
-	// the simulation with a *sim.CanceledError. Ctx is execution policy,
-	// not simulation identity — it is excluded from the memo key, so jobs
-	// that differ only in Ctx memo-share one execution (and that shared
-	// execution runs under whichever job's context got there first; the
-	// entry is evicted afterwards, so a later resubmission re-executes
-	// rather than replaying the cancellation).
-	Ctx context.Context
 
 	// Build, when non-nil, replaces the Kernel's standard build with a
 	// custom instance factory (e.g. the Fig 8.E unrolled GEMMs). Key must
@@ -50,68 +36,21 @@ func (j *Job) id() string {
 	return j.Kernel.ID
 }
 
-// configFP is the canonical, comparable fingerprint of a machine
-// configuration. engine.Config carries a *CacheLevel (Fig 11 override)
-// whose pointer identity would defeat memoization, so the pointee is
-// hoisted into value fields and the pointer zeroed. A trace recorder is
-// part of the fingerprint by identity: traced jobs use per-job collectors,
-// so they never memo-share with untraced (or other traced) runs.
-// Every Options field that changes what a simulation computes or measures
-// must appear here, or two different runs would memo-share; sim's
-// TestBenchMemoKeyCoversOptions cross-checks the field coverage.
-type configFP struct {
-	core       cpu.Config
-	hier       mem.HierarchyConfig
-	eng        engine.Config
-	forceLevel arch.CacheLevel
-	hasForce   bool
-	skipCheck  bool
-	sanitize   sim.SanitizeMode // modes never memo-share: auto may elide tracking
-	hashMem    bool
-	watchdog   int64
-	maxCycles  int64
-	faults     fault.Plan
-	hasFaults  bool
-	rec        trace.Recorder
-	// fidelity separates the execution tiers: a functional result carries
-	// no timing, so it must never satisfy a cycle-tier lookup (and vice
-	// versa — a cycle result is a valid answer but the memo stays
-	// tier-exact so hit accounting and result shapes are predictable).
-	fidelity sim.Fidelity
-}
-
-// memoKey canonically identifies a (kernel, variant, size, config)
-// simulation. Two jobs with equal keys are the same simulation.
-type memoKey struct {
+// cellKey is the runner's memo key: one kernel × variant × size ×
+// configuration cell. cfg is configHash, the configuration identity
+// FingerprintJob also hashes, so every result-shaping sim.Options field
+// separates keys by construction.
+type cellKey struct {
 	kernel  string
 	variant kernels.Variant
 	size    int
-	cfg     configFP
+	cfg     wire.Hash
 }
 
-func keyOf(j Job) memoKey {
-	var o sim.Options
-	if j.Opts != nil {
-		o = *j.Opts
-	} else {
-		o = sim.DefaultOptions(j.Variant)
-	}
-	fp := configFP{
-		core: o.Core, hier: o.Hier, eng: o.Eng,
-		skipCheck: o.SkipCheck, sanitize: o.Sanitize, hashMem: o.HashMem,
-		watchdog: o.Watchdog, maxCycles: o.MaxCycles, rec: o.Trace,
-		fidelity: o.Fidelity,
-	}
-	if o.Eng.ForceLevel != nil {
-		fp.hasForce = true
-		fp.forceLevel = *o.Eng.ForceLevel
-		fp.eng.ForceLevel = nil
-	}
-	if o.Faults != nil {
-		fp.hasFaults = true
-		fp.faults = *o.Faults
-	}
-	return memoKey{kernel: j.id(), variant: j.Variant, size: j.Size, cfg: fp}
+func keyOf(j *Job) (cellKey, error) {
+	o, size := j.resolve()
+	cfg, err := configHash(j.Variant, size, &o)
+	return cellKey{kernel: j.id(), variant: j.Variant, size: size, cfg: cfg}, err
 }
 
 // memoEntry is one memoized simulation. done is closed exactly once, after
@@ -127,22 +66,20 @@ type RunnerStats struct {
 	Submitted int `json:"submitted"` // jobs submitted across all RunAll calls
 	Simulated int `json:"simulated"` // unique simulations actually executed
 	MemoHits  int `json:"memo_hits"` // jobs satisfied from the memo table
-	// CancelEvicted counts memo entries dropped because their execution
-	// was aborted by context cancellation (see Job.Ctx).
-	CancelEvicted int `json:"cancel_evicted,omitempty"`
 }
 
 // Runner executes simulation jobs on a fixed-size worker pool and
-// memoizes results by canonical (kernel, variant, size, config) key, so
+// memoizes results by (kernel, variant, resolved size, config hash), so
 // the default-configuration baseline shared by every sensitivity sweep is
-// simulated exactly once per process-wide Runner. Results are returned in
-// submission order regardless of completion order, making parallel output
-// byte-identical to sequential output.
+// simulated exactly once per process-wide Runner. Traced jobs bypass the
+// memo: each carries its own recorder, which only its own run may feed.
+// Results are returned in submission order regardless of completion
+// order, making parallel output byte-identical to sequential output.
 type Runner struct {
 	workers int
 
 	mu    sync.Mutex
-	memo  map[memoKey]*memoEntry
+	memo  map[cellKey]*memoEntry
 	stats RunnerStats
 }
 
@@ -152,7 +89,7 @@ func NewRunner(workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{workers: workers, memo: make(map[memoKey]*memoEntry)}
+	return &Runner{workers: workers, memo: make(map[cellKey]*memoEntry)}
 }
 
 // Workers returns the pool size.
@@ -165,18 +102,16 @@ func (r *Runner) Stats() RunnerStats {
 	return r.stats
 }
 
-// execJob runs one simulation, converting panics (watchdog aborts, kernel
-// build failures) into errors so a dying worker can never wedge the pool.
-func execJob(j Job) (res *sim.Result, err error) {
+// ExecJob runs one simulation under ctx (a done context aborts it with a
+// *sim.CanceledError), converting panics (watchdog aborts, kernel build
+// failures) into errors so a dying worker can never wedge its pool. It is
+// the runner's single-job path without the memo.
+func ExecJob(ctx context.Context, j Job) (res *sim.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("%s/%s n=%d: simulation panic: %v", j.id(), j.Variant, j.Size, p)
 		}
 	}()
-	ctx := j.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if j.Build != nil {
 		res, err = sim.RunBuiltContext(ctx, j.Key, j.Variant, j.Size, j.Opts, j.Build)
 		if err != nil {
@@ -197,7 +132,6 @@ func (r *Runner) RunAll(jobs []Job) ([]*sim.Result, error) {
 	type work struct {
 		entry *memoEntry
 		job   Job
-		key   memoKey
 	}
 	var pending []work
 
@@ -212,17 +146,25 @@ func (r *Runner) RunAll(jobs []Job) ([]*sim.Result, error) {
 			c := j.Opts.Clone()
 			j.Opts = &c
 		}
-		k := keyOf(j)
-		e := r.memo[k]
-		if e == nil {
-			e = &memoEntry{done: make(chan struct{})}
-			r.memo[k] = e
-			pending = append(pending, work{e, j, k})
-			r.stats.Simulated++
-		} else {
-			r.stats.MemoHits++
-		}
+		e := &memoEntry{done: make(chan struct{})}
 		entries[i] = e
+		// A traced job feeds its own recorder, so it never shares a run.
+		if j.Opts == nil || j.Opts.Trace == nil {
+			k, err := keyOf(&j)
+			if err != nil {
+				e.err = err
+				close(e.done)
+				continue
+			}
+			if hit := r.memo[k]; hit != nil {
+				entries[i] = hit
+				r.stats.MemoHits++
+				continue
+			}
+			r.memo[k] = e
+		}
+		pending = append(pending, work{e, j})
+		r.stats.Simulated++
 	}
 	r.mu.Unlock()
 
@@ -238,9 +180,8 @@ func (r *Runner) RunAll(jobs []Job) ([]*sim.Result, error) {
 			go func() {
 				defer wg.Done()
 				for wk := range ch {
-					wk.entry.res, wk.entry.err = execJob(wk.job)
+					wk.entry.res, wk.entry.err = ExecJob(context.Background(), wk.job)
 					close(wk.entry.done)
-					r.evictCanceled(wk.key, wk.entry)
 				}
 			}()
 		}
@@ -262,24 +203,6 @@ func (r *Runner) RunAll(jobs []Job) ([]*sim.Result, error) {
 		}
 	}
 	return results, firstErr
-}
-
-// evictCanceled drops a memo entry whose execution was aborted by context
-// cancellation. A canceled run says nothing about the simulation — only
-// about one caller's patience — so it must not satisfy future lookups.
-// Jobs already waiting on the entry still observe the cancellation error
-// (they shared the aborted execution); the next submission re-executes.
-func (r *Runner) evictCanceled(k memoKey, e *memoEntry) {
-	var ce *sim.CanceledError
-	if e.err == nil || !errors.As(e.err, &ce) {
-		return
-	}
-	r.mu.Lock()
-	if r.memo[k] == e {
-		delete(r.memo, k)
-		r.stats.CancelEvicted++
-	}
-	r.mu.Unlock()
 }
 
 // Run executes a single job through the pool and memo table.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/program"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestParallelMatchesSequential asserts the acceptance criterion that the
@@ -225,5 +226,35 @@ func TestRunnerNoCrossTierMemoSharing(t *testing.T) {
 	}
 	if st := r.Stats(); st.Simulated != 2*len(matrix) || st.MemoHits != len(matrix) {
 		t.Fatalf("functional resubmission missed its own memo: %+v", st)
+	}
+}
+
+// TestRunnerTracedJobsNeverShare: two traced jobs on the same cell both
+// run, and each collector sees its own complete event stream — a traced
+// job bypasses the memo because its recorder is part of what it produces.
+func TestRunnerTracedJobsNeverShare(t *testing.T) {
+	r := NewRunner(2)
+	k := kernels.ByID("C")
+	cols := []*trace.Collector{trace.NewCollector(64, 0), trace.NewCollector(64, 0)}
+	jobs := make([]Job, len(cols))
+	for i, col := range cols {
+		o := sim.DefaultOptions(kernels.UVE)
+		o.Trace = col
+		jobs[i] = Job{Kernel: k, Variant: kernels.UVE, Size: 64, Opts: &o}
+	}
+	rs := mustAll(r.RunAll(jobs))
+	if st := r.Stats(); st.Simulated != 2 || st.MemoHits != 0 {
+		t.Fatalf("stats = %+v, want 2 simulated / 0 hits", st)
+	}
+	if rs[0] == rs[1] || rs[0].Cycles != rs[1].Cycles {
+		t.Fatalf("traced runs shared a result or disagreed on cycles (%d vs %d)", rs[0].Cycles, rs[1].Cycles)
+	}
+	for i, col := range cols {
+		if len(col.Events()) == 0 {
+			t.Errorf("collector %d received no point events", i)
+		}
+		if got := col.Attribution().AttributedExcludingDrain(); got != rs[i].Cycles {
+			t.Errorf("collector %d attributed %d cycles, run took %d", i, got, rs[i].Cycles)
+		}
 	}
 }

@@ -119,7 +119,7 @@ func (f *Fidelity) RejectTimingFlags(active ...string) error {
 		return err
 	}
 	if fid == sim.Functional && len(active) > 0 {
-		return fmt.Errorf("-fidelity functional cannot be combined with %s: functional runs have no cycles to trace or attribute",
+		return fmt.Errorf("-fidelity functional cannot be combined with %s: functional runs have no cycles to trace, attribute or tabulate",
 			strings.Join(active, ", "))
 	}
 	return nil

@@ -123,6 +123,8 @@ func TestFidelity(t *testing.T) {
 			timing: []string{"-trace"}, wantErr: "-fidelity functional cannot be combined with -trace"},
 		{name: "functional-with-stalls", args: []string{"-fidelity", "functional"},
 			timing: []string{"-stalls"}, wantErr: "cannot be combined with -stalls"},
+		{name: "functional-with-exp", args: []string{"-fidelity", "functional"},
+			timing: []string{"-exp"}, wantErr: "-fidelity functional cannot be combined with -exp"},
 		{name: "functional-with-both", args: []string{"-fidelity", "functional"},
 			timing: []string{"-trace", "-stalls"}, wantErr: "-trace, -stalls"},
 		{name: "cycle-with-trace-ok", args: []string{"-fidelity", "cycle"}, timing: []string{"-trace"}},

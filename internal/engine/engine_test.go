@@ -129,6 +129,45 @@ func TestLoadStreamDeliversDataInChunks(t *testing.T) {
 	}
 }
 
+// TestTwoDimStreamMatchesSequence: the engine delivers a 2-D load
+// pattern as chunks holding exactly the descriptor's standalone element
+// sequence, in order, read from memory.
+func TestTwoDimStreamMatchesSequence(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	const rows, cols = 6, 20
+	base := r.h.Mem.Alloc(4*rows*cols, arch.LineSize)
+	for i := 0; i < rows*cols; i++ {
+		r.h.Mem.Write(base+uint64(4*i), arch.W4, uint64(i))
+	}
+	d := descriptor.New(base, arch.W4, descriptor.Load).Dim(0, cols, 1).Dim(0, rows, cols).MustBuild()
+	want := descriptor.Sequence(d, nil)
+	if len(want) != rows*cols {
+		t.Fatalf("iterator produced %d elements, want %d", len(want), rows*cols)
+	}
+	r.configure(0, d)
+	got := 0
+	for {
+		v := r.consume(0)
+		if !v.Consumed {
+			break
+		}
+		for l := 0; l < v.N; l++ {
+			if v.Data.Lane(l) != r.h.Mem.Read(want[got+l].Addr, arch.W4) {
+				t.Fatalf("lane mismatch at element %d", got+l)
+			}
+		}
+		got += v.N
+		slot, _ := r.e.StreamFor(0)
+		r.e.CommitConsume(slot, v.Seq)
+		if v.Last {
+			break
+		}
+	}
+	if got != len(want) {
+		t.Fatalf("streamed %d elements, want %d", got, len(want))
+	}
+}
+
 func TestChunksRespectDim0Boundaries(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	base := r.h.Mem.Alloc(8*64, 64)

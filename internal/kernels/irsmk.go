@@ -126,10 +126,13 @@ func buildIrsmk(h *mem.Hierarchy, v Variant, m int) *Instance {
 		b.Label("x")
 		b.I(isa.Add(isa.X(12), isa.X(8), isa.X(9)))
 		b.I(isa.VDupX(w, isa.V(3), isa.X(0)))
+		// Coefficient array t is addressed from x20 = aB[0] by its real
+		// distance: allocations are line-aligned, so the arrays are not
+		// grid elements apart unless a grid is a whole number of lines.
 		for t := 0; t < terms; t++ {
 			o := offs[t]
 			shift := int64(o[2]*m*m + o[1]*m + o[0])
-			b.I(isa.VLoad(w, isa.V(1), isa.X(20), isa.X(12), int64(t)*int64(grid), pred))
+			b.I(isa.VLoad(w, isa.V(1), isa.X(20), isa.X(12), int64(aB[t]-aB[0])/4, pred))
 			b.I(isa.VLoad(w, isa.V(2), isa.X(21), isa.X(12), shift, pred))
 			b.I(isa.VFMla(w, isa.V(3), isa.V(1), isa.V(2), pred))
 		}
@@ -151,7 +154,7 @@ func buildIrsmk(h *mem.Hierarchy, v Variant, m int) *Instance {
 				o := offs[t]
 				shift := int64(o[2]*m*m + o[1]*m + o[0])
 				b.I(isa.Add(isa.X(14), isa.X(13), isa.X(20)))
-				b.I(isa.FLoad(w, isa.F(11), isa.X(14), int64(t)*int64(grid)*4))
+				b.I(isa.FLoad(w, isa.F(11), isa.X(14), int64(aB[t]-aB[0])))
 				b.I(isa.Add(isa.X(14), isa.X(13), isa.X(21)))
 				b.I(isa.FLoad(w, isa.F(12), isa.X(14), shift*4))
 				b.I(isa.FMadd(w, isa.F(10), isa.F(11), isa.F(12), isa.F(10)))
@@ -184,7 +187,7 @@ func buildIrsmk(h *mem.Hierarchy, v Variant, m int) *Instance {
 	inst.IntArgs[1] = uint64(m - 2)
 	inst.IntArgs[2] = uint64(m)
 	inst.IntArgs[3] = uint64(m - 1)
-	inst.IntArgs[20] = aB[0] // coefficient arrays are contiguous allocations
+	inst.IntArgs[20] = aB[0] // coefficient array 0; the others are addressed relative to it
 	inst.IntArgs[21] = xB
 	inst.IntArgs[22] = bB
 	return finalize(h, inst)

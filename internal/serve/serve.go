@@ -9,11 +9,15 @@
 // matrix receive byte-identical reports, across workers, processes and
 // daemon restarts.
 //
-// Execution is a bounded worker pool over bench.Runner (in-process memo)
-// with per-client token-bucket rate limits, per-job timeouts and
-// cancellation via uve-style contexts, streamed NDJSON progress for
-// traced jobs, and graceful drain: in-flight jobs finish, queued and new
-// jobs are rejected with a retriable status.
+// A job is deduplicated twice and only twice: by the persistent store,
+// and by a singleflight over in-flight fingerprints (jobs with equal
+// fingerprints join one execution, which stays joinable until its payload
+// is stored). The daemon keeps no in-memory copy of results. Execution is
+// a bounded worker pool calling bench.ExecJob, with per-client
+// token-bucket rate limits, per-job timeouts and cancellation via
+// contexts, streamed NDJSON progress for traced jobs, and graceful drain:
+// in-flight jobs finish, queued and new jobs are rejected with a
+// retriable status.
 package serve
 
 import (
@@ -84,7 +88,10 @@ const (
 
 // Stats is the /v1/stats payload.
 type Stats struct {
-	Store  store.Stats       `json:"store"`
+	Store store.Stats `json:"store"`
+	// Runner counts executions: Submitted were dispatched to the worker
+	// pool, Simulated actually ran (drain rejects the rest), MemoHits are
+	// submissions that joined an in-flight execution.
 	Runner bench.RunnerStats `json:"runner"`
 	// StoreHits/StoreMisses duplicate the store section at the top level —
 	// the serve-smoke greps for these exact names.
@@ -96,8 +103,8 @@ type Stats struct {
 }
 
 // execution is one unique simulation in flight or completed: jobs with
-// equal fingerprints share one execution (server-level singleflight on
-// top of the runner's memo). done is closed after payload/err are final.
+// equal fingerprints share one execution (server-level singleflight in
+// front of the store). done is closed after payload/err are final.
 type execution struct {
 	key      wire.Hash
 	done     chan struct{}
@@ -124,7 +131,6 @@ type job struct {
 // Server is the service core, independent of HTTP (http.go adapts it).
 type Server struct {
 	cfg   Config
-	runr  *bench.Runner
 	queue chan *execution
 	wg    sync.WaitGroup // worker goroutines
 	limit *limiter
@@ -132,6 +138,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	execs    map[wire.Hash]*execution
+	runs     bench.RunnerStats
 	nextID   int
 	draining bool
 	inflight sync.WaitGroup // executions accepted into the queue
@@ -151,7 +158,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:   cfg,
-		runr:  bench.NewRunner(cfg.Workers),
 		queue: make(chan *execution, cfg.QueueLen),
 		limit: newLimiter(cfg.Rate, cfg.Burst),
 		jobs:  make(map[string]*job),
@@ -169,10 +175,11 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	jobs := len(s.jobs)
 	draining := s.draining
+	runs := s.runs
 	s.mu.Unlock()
 	st := s.cfg.Store.Stats()
 	return Stats{
-		Store: st, Runner: s.runr.Stats(),
+		Store: st, Runner: runs,
 		StoreHits: st.Hits, StoreMisses: st.Misses,
 		Jobs: jobs, Draining: draining,
 		RateLimited: s.limit.rejected(),
@@ -218,9 +225,10 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 		return id, nil
 	}
 	if e, ok := s.execs[key]; ok {
-		// Singleflight: join the in-flight (or completed) execution.
+		// Singleflight: join the in-flight execution.
 		j.exec = e
 		j.state = StateQueued
+		s.runs.MemoHits++
 		s.mu.Unlock()
 		return id, nil
 	}
@@ -264,12 +272,14 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 		s.mu.Lock()
 		j.exec = prev
 		j.state = StateQueued
+		s.runs.MemoHits++
 		s.mu.Unlock()
 		return id, nil
 	}
 	s.execs[key] = e
 	j.exec = e
 	j.state = StateQueued
+	s.runs.Submitted++
 	s.inflight.Add(1)
 	s.mu.Unlock()
 
@@ -281,6 +291,7 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 		// Queue full: back the registration out and reject retriably.
 		s.mu.Lock()
 		delete(s.execs, key)
+		s.runs.Submitted--
 		s.mu.Unlock()
 		s.inflight.Done()
 		cancel()
@@ -307,6 +318,10 @@ func (s *Server) worker() {
 }
 
 // execute runs one unique simulation and finalizes its execution record.
+// The record leaves execs only once its outcome is settled: after the
+// payload is stored, so a later submission of the fingerprint either
+// joins this execution or hits the store, or right away on failure, so a
+// resubmission after a cancellation or error re-executes.
 func (s *Server) execute(ctx context.Context, e *execution, bj bench.Job, spec JobSpec) {
 	timeout := s.cfg.JobTimeout
 	if spec.TimeoutMS > 0 {
@@ -320,18 +335,22 @@ func (s *Server) execute(ctx context.Context, e *execution, bj bench.Job, spec J
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	bj.Ctx = ctx
-	e.running.Store(true)
-
-	res, err := s.runr.Run(bj)
 	s.mu.Lock()
-	delete(s.execs, e.key)
+	s.runs.Simulated++
 	s.mu.Unlock()
+	e.running.Store(true)
+	defer func() {
+		s.mu.Lock()
+		delete(s.execs, e.key)
+		s.mu.Unlock()
+		close(e.done)
+	}()
+
+	res, err := bench.ExecJob(ctx, bj)
 	if err != nil {
 		var ce *sim.CanceledError
 		e.canceled = errors.As(err, &ce)
 		e.err = err
-		close(e.done)
 		return
 	}
 
@@ -345,14 +364,12 @@ func (s *Server) execute(ctx context.Context, e *execution, bj bench.Job, spec J
 	payload, err := doc.Marshal()
 	if err != nil {
 		e.err = err
-		close(e.done)
 		return
 	}
 	// Persisting is best-effort: a full disk costs future hit-rate, not
 	// this job's result.
 	_ = s.cfg.Store.Put(e.key, payload)
 	e.payload = payload
-	close(e.done)
 }
 
 // benchJob translates a spec into a bench.Job, validating every field.
@@ -470,9 +487,9 @@ func (s *Server) Wait(ctx context.Context, id string) (JobStatus, bool) {
 	return s.Status(id)
 }
 
-// Cancel aborts a job's execution (all jobs sharing the fingerprint see
-// the cancellation; the runner evicts the memo entry so a resubmission
-// re-executes).
+// Cancel aborts a job's execution. All jobs sharing the fingerprint see
+// the cancellation; nothing is stored for it and its execution leaves the
+// singleflight, so a resubmission re-executes.
 func (s *Server) Cancel(id string) bool {
 	s.mu.Lock()
 	j, ok := s.jobs[id]

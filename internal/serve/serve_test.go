@@ -335,8 +335,7 @@ func TestDrainFinishesInflightRejectsQueued(t *testing.T) {
 }
 
 // TestCancelOnDisconnect: a waiting client that goes away with
-// cancel_on_disconnect set kills its job, and the runner evicts the
-// canceled memo entry so a resubmission re-executes.
+// cancel_on_disconnect set kills its job.
 func TestCancelOnDisconnect(t *testing.T) {
 	s, ts := newServer(t, t.TempDir(), serve.Config{Workers: 1})
 
@@ -373,8 +372,38 @@ func TestCancelOnDisconnect(t *testing.T) {
 	if !strings.Contains(st.Error, "canceled") {
 		t.Errorf("canceled job error = %q, want mention of cancellation", st.Error)
 	}
-	if got := getStats(t, ts.URL); got.Runner.CancelEvicted < 1 {
-		t.Errorf("CancelEvicted = %d, want >= 1", got.Runner.CancelEvicted)
+}
+
+// TestCancelResubmitReexecutes: a canceled execution stores nothing and
+// leaves the singleflight, so resubmitting the same spec re-executes
+// (Runner.Simulated grows) and finishes done.
+func TestCancelResubmitReexecutes(t *testing.T) {
+	s, _ := newServer(t, t.TempDir(), serve.Config{Workers: 1})
+	spec := serve.JobSpec{Kernel: "C", Variant: "uve", Size: 1 << 18}
+
+	id, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitState(t, s, id, serve.StateRunning, serve.StateDone)
+	s.Cancel(id)
+	if st := waitState(t, s, id, serve.StateCanceled, serve.StateDone); st.State != serve.StateCanceled {
+		t.Skip("simulation finished before the cancellation took effect")
+	}
+	if got := s.Stats(); got.Runner.Simulated != 1 || got.Store.Puts != 0 {
+		t.Fatalf("after cancel: simulated=%d puts=%d, want 1 and 0", got.Runner.Simulated, got.Store.Puts)
+	}
+
+	id2, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	st, _ := s.Wait(context.Background(), id2)
+	if st.State != serve.StateDone || st.FromStore {
+		t.Fatalf("resubmission: state=%s from_store=%v (%s), want done by a fresh run", st.State, st.FromStore, st.Error)
+	}
+	if got := s.Stats(); got.Runner.Simulated != 2 || got.Runner.MemoHits != 0 || got.Store.Puts != 1 {
+		t.Errorf("after resubmission: runner=%+v puts=%d, want 2 simulated, 0 joins, 1 put", got.Runner, got.Store.Puts)
 	}
 }
 

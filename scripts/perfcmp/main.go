@@ -5,13 +5,12 @@
 //	perfcmp -update BENCH_simwall.json   # rewrite the committed baseline
 //	perfcmp -baseline BENCH_simwall.json # gate: fail on >2x regression
 //
-// In -update mode it also times the uvebench tier comparison (the detailed
-// model regenerating the full kernel x variant matrix vs the functional
-// sweep over the same matrix, at figure scale and at fuzz/fault-campaign
-// scale) and records the measured speedups. In gate mode only the
-// per-cell ns/op figures are re-measured and compared — the committed
-// baseline's absolute numbers are from the machine named in its "host"
-// field, so the default threshold is a deliberately loose 2x.
+// In -update mode it also records summary ratios over the cells, among
+// them the like-for-like functional-vs-cycle speedup (the same cells timed
+// on both tiers). In gate mode only the per-cell ns/op figures are
+// compared — the committed baseline's absolute numbers are from the
+// machine named in its "host" field, so the default threshold is a
+// deliberately loose 2x.
 package main
 
 import (
@@ -20,11 +19,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"regexp"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Cell is one BenchmarkSimWall sub-benchmark measurement.
@@ -32,15 +29,6 @@ type Cell struct {
 	Name    string  `json:"name"` // mode/kernel-variant, e.g. "skip/C-UVE"
 	NsPerOp float64 `json:"ns_per_op"`
 	Cycles  int64   `json:"cycles"` // simulated cycles (0 on the functional tier)
-}
-
-// TierComparison is one timed uvebench invocation pair.
-type TierComparison struct {
-	CycleCmd     string  `json:"cycle_cmd"`
-	CycleSeconds float64 `json:"cycle_seconds"`
-	FuncCmd      string  `json:"functional_cmd"`
-	FuncSeconds  float64 `json:"functional_seconds"`
-	Speedup      float64 `json:"speedup"`
 }
 
 // Baseline is the BENCH_simwall.json document.
@@ -59,10 +47,6 @@ type Baseline struct {
 	// time on the certified kernels: the wall-clock the static safety
 	// proof buys on verification sweeps.
 	SanitizeElisionSpeedup float64 `json:"sanitize_elision_speedup,omitempty"`
-	// Measured once at -update time, not re-run by the gate.
-	ExpAll     *TierComparison `json:"exp_all,omitempty"`
-	FigMatrix  *TierComparison `json:"figure_matrix,omitempty"`
-	FaultScale *TierComparison `json:"fault_fuzz_scale,omitempty"`
 }
 
 var benchLine = regexp.MustCompile(`^BenchmarkSimWall/(\S+?)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op(?:\s+(\d+(?:\.\d+)?) cycles)?`)
@@ -152,8 +136,7 @@ func gate(path string, cur []Cell, maxRatio float64) {
 	}
 }
 
-// writeBaseline measures the uvebench tier comparisons and writes the full
-// trajectory document.
+// writeBaseline writes the full trajectory document.
 func writeBaseline(path, host string, cells []Cell) {
 	doc := Baseline{
 		Host:      host,
@@ -197,16 +180,6 @@ func writeBaseline(path, host string, cells []Cell) {
 		doc.SkipSpeedupStarved = round2(noStarved / skStarved)
 	}
 
-	doc.ExpAll = timePair(
-		[]string{"-exp", "all", "-scale", "4"},
-		[]string{"-fidelity", "functional", "-scale", "4"})
-	doc.FigMatrix = timePair(
-		[]string{"-exp", "fig8", "-scale", "4"},
-		[]string{"-fidelity", "functional", "-scale", "4"})
-	doc.FaultScale = timePair(
-		[]string{"-exp", "fig8", "-scale", "64"},
-		[]string{"-fidelity", "functional", "-scale", "64"})
-
 	f, err := os.Create(path)
 	if err != nil {
 		fail("%v", err)
@@ -223,34 +196,7 @@ func writeBaseline(path, host string, cells []Cell) {
 		path, len(cells), doc.FunctionalSpeedup, doc.SkipSpeedup, doc.SkipSpeedupStarved)
 }
 
-// timePair times one cycle-tier and one functional-tier uvebench run.
-// uvebench must already be built at ./uvebench.bin (perfsmoke.sh does this)
-// so process start-up cost is identical on both sides.
-func timePair(cycleArgs, funcArgs []string) *TierComparison {
-	run := func(args []string) float64 {
-		start := time.Now()
-		cmd := exec.Command("./uvebench.bin", args...)
-		cmd.Stdout = nil
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			fail("uvebench %v: %v", args, err)
-		}
-		return time.Since(start).Seconds()
-	}
-	tc := &TierComparison{
-		CycleCmd: fmt.Sprint("uvebench ", cycleArgs),
-		FuncCmd:  fmt.Sprint("uvebench ", funcArgs),
-	}
-	tc.CycleSeconds = round3(run(cycleArgs))
-	tc.FuncSeconds = round3(run(funcArgs))
-	if tc.FuncSeconds > 0 {
-		tc.Speedup = round2(tc.CycleSeconds / tc.FuncSeconds)
-	}
-	return tc
-}
-
 func round2(v float64) float64 { return float64(int(v*100+0.5)) / 100 }
-func round3(v float64) float64 { return float64(int(v*1000+0.5)) / 1000 }
 
 func fail(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "perfcmp: "+format+"\n", args...)
