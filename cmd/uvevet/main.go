@@ -28,6 +28,11 @@
 //     pc→labels back-map built by ranging the label map.) The canonical
 //     collect-sort-range fix stays clean because the sort call sanctions
 //     the collection.
+//  7. Any map-range loop in the cycle-loop packages (internal/cpu,
+//     internal/engine, internal/mem), whatever its body does. There,
+//     iteration order can reach timing — which fill a cache retries first,
+//     which stream a scheduler picks — with no output call to give it
+//     away. Dense slices or an explicitly ordered index replace the map.
 //
 // Usage: uvevet [dir ...] — defaults to the simulation packages. Exit 1
 // when any finding is reported, 0 when clean.
@@ -61,6 +66,20 @@ var defaultDirs = []string{
 	"internal/program", "internal/descriptor", "internal/trace",
 	"internal/kernels", "internal/wire", "internal/report",
 	"internal/store",
+}
+
+// hotDirs are the cycle-loop packages check 7 covers.
+var hotDirs = []string{"internal/cpu", "internal/engine", "internal/mem"}
+
+// isHotDir reports whether dir names one of hotDirs.
+func isHotDir(dir string) bool {
+	d := filepath.ToSlash(filepath.Clean(dir))
+	for _, h := range hotDirs {
+		if d == h || strings.HasSuffix(d, "/"+h) {
+			return true
+		}
+	}
+	return false
 }
 
 // globalRandFuncs are the math/rand top-level draws backed by the
@@ -120,6 +139,9 @@ func main() {
 				files = append(files, pkg.Files[name])
 			}
 			findings = append(findings, vetFiles(fset, files)...)
+			if isHotDir(dir) {
+				findings = append(findings, vetHotMapRanges(fset, files)...)
+			}
 		}
 	}
 	for _, f := range findings {
@@ -306,6 +328,30 @@ func vetMapRanges(fset *token.FileSet, fn *ast.FuncDecl, mapFields map[string]bo
 		})
 		return true
 	})
+	return out
+}
+
+// vetHotMapRanges flags every map-range loop (check 7, cycle-loop
+// packages only).
+func vetHotMapRanges(fset *token.FileSet, files []*ast.File) []finding {
+	mapFields := collectMapFields(files)
+	var out []finding
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			localMaps := collectLocalMaps(fn)
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if rng, ok := n.(*ast.RangeStmt); ok && rangesOverMap(rng.X, localMaps, mapFields) {
+					out = append(out, finding{fset.Position(rng.Pos()),
+						"range over a map in a cycle-loop package: iteration order can reach timing (use a dense slice or an ordered index)"})
+				}
+				return true
+			})
+		}
+	}
 	return out
 }
 

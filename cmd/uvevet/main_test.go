@@ -259,3 +259,39 @@ func f() {
 		t.Fatalf("want 1 finding, got %v", fs)
 	}
 }
+
+func TestHotMapRange(t *testing.T) {
+	src := `package p
+type cache struct{ mshrs map[uint64]*int; slots []int }
+func (c *cache) tick() {
+	for _, m := range c.mshrs { _ = m }
+	local := map[int]bool{}
+	for k := range local { _ = k }
+	for _, s := range c.slots { _ = s }
+	_ = c.mshrs[3]
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "src.go", src, 0)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	fs := vetHotMapRanges(fset, []*ast.File{f})
+	if len(fs) != 2 {
+		t.Fatalf("want 2 findings (field and local map ranges), got %v", fs)
+	}
+	wantFinding(t, fs, "range over a map in a cycle-loop package")
+	// The same code outside the cycle-loop packages only gets the
+	// output-order checks, which it passes.
+	if other := vetFiles(fset, []*ast.File{f}); len(other) != 0 {
+		t.Fatalf("general checks flagged %v", other)
+	}
+	for dir, want := range map[string]bool{
+		"internal/cpu": true, "./internal/mem": true, "/src/repo/internal/engine": true,
+		"internal/bench": false, "internal/memo": false,
+	} {
+		if got := isHotDir(dir); got != want {
+			t.Errorf("isHotDir(%q) = %v, want %v", dir, got, want)
+		}
+	}
+}

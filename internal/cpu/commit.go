@@ -29,7 +29,7 @@ func (c *Core) commit() {
 			}
 			c.freePhys(isa.ClassVec, rec.phys)
 		}
-		if e.produce != nil && e.produce.consumed {
+		if e.produce.consumed {
 			c.eng.CommitStore(e.produce.slot, e.produce.seq, c.cycle)
 		}
 		if e.cfgTok != nil {
@@ -41,9 +41,8 @@ func (c *Core) commit() {
 		if e.isMem && !e.isLoad {
 			c.commitStore(e)
 		}
-		if e.isLoad && e.lqHeld {
-			c.lqCount--
-			e.lqHeld = false
+		if e.isLoad {
+			c.lq.PopFront() // the oldest load
 		}
 		if e.dstClass != isa.ClassNone {
 			c.freePhys(e.dstClass, e.oldPhys)
@@ -57,6 +56,7 @@ func (c *Core) commit() {
 		}
 
 		c.rob = c.rob[1:]
+		c.freeEntry(e) // reused no earlier than the rename stage
 		c.activity++
 		c.Stats.Committed++
 		c.Stats.CommittedByKind[in.Op.Kind()]++
@@ -86,8 +86,9 @@ func (c *Core) commitStore(e *robEntry) {
 		c.eng.NoteScalarStore(e.pc, sq.addr, len(sq.lanes)*int(sq.w))
 	}
 	if sq.bytes > 0 {
-		for _, line := range lineSpan(sq.addr, sq.bytes) {
-			c.drainQ = append(c.drainQ, line)
+		last := arch.LineOf(sq.addr + uint64(sq.bytes) - 1)
+		for line := arch.LineOf(sq.addr); line <= last; line += arch.LineSize {
+			c.drainQ.Push(line)
 		}
 	}
 	sq.live = false
@@ -97,11 +98,8 @@ func (c *Core) commitStore(e *robEntry) {
 }
 
 func (c *Core) removeSQ(seq int64) {
-	for i, s := range c.sq {
-		if s.seq == seq {
-			c.sq = append(c.sq[:i], c.sq[i+1:]...)
-			return
-		}
+	if i := c.sqIndex(seq); i >= 0 {
+		c.sq.Remove(i)
 	}
 }
 
@@ -145,18 +143,16 @@ func (c *Core) squashAfter(keep int) {
 		c.Stats.Squashed++
 
 		if !e.issued {
-			c.iqCount--
 			c.schedCnt[e.group]--
 		}
-		if e.lqHeld {
-			c.lqCount--
-			e.lqHeld = false
+		if e.isLoad {
+			c.lq.Remove(c.lq.Len() - 1) // the youngest load left
 		}
 		if e.sqHeld {
 			c.removeSQ(e.seq)
 			e.sqHeld = false
 		}
-		if e.produce != nil && e.produce.consumed {
+		if e.produce.consumed {
 			c.eng.Unconsume(e.produce.slot, e.produce.prevEnd, e.produce.prevLast)
 		}
 		for j := len(e.consumes) - 1; j >= 0; j-- {
@@ -179,12 +175,18 @@ func (c *Core) squashAfter(keep int) {
 		if e.inst.Op == isa.OpSSetVL {
 			c.serializeInROB = false
 		}
+		c.freeEntry(e)
 	}
 	c.rob = c.rob[:keep+1]
+	// The squashed entries are the youngest, so the unissued ones among them
+	// form the IQ's tail.
+	for len(c.iq) > 0 && c.iq[len(c.iq)-1].squashed {
+		c.iq = c.iq[:len(c.iq)-1]
+	}
 }
 
 // DrainedStoreLines exposes pending senior-store lines (tests).
-func (c *Core) DrainedStoreLines() int { return len(c.drainQ) }
+func (c *Core) DrainedStoreLines() int { return c.drainQ.Len() }
 
 // VecReg reads an architectural vector register (after Run), for tests.
 func (c *Core) VecReg(n int) isa.VecVal { return c.vecVal[c.ratVec[n]] }

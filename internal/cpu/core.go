@@ -8,6 +8,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/program"
+	"repro/internal/ring"
 	"repro/internal/trace"
 )
 
@@ -49,10 +50,28 @@ type streamRec struct {
 	phys     int // temporary vector physical register holding consumed data
 }
 
+// robEntry is one ROB slot. Entries live in the core's fixed pool and are
+// recycled at commit and squash: rename clears robState with one
+// pointer-free memclr and truncates the owned buffers, keeping their
+// capacity. A line request names its entry by (id, seq), so a completion
+// that arrives after the entry was squashed and reused is dropped.
 type robEntry struct {
+	robState
+	id   int // index in Core.robPool
+	inst isa.Inst
+
+	laneAddrs []uint64 // gather element addresses
+	lines     []uint64
+	resVec    isa.VecVal
+	vecBuf    []uint64 // lane storage resVec reuses
+	consumes  []streamRec
+	cfgTok    *engine.ConfigToken
+}
+
+// robState is the pointer-free per-instruction state of a ROB entry.
+type robState struct {
 	seq      int64
 	pc       int
-	inst     isa.Inst
 	squashed bool
 
 	dstClass isa.RegClass
@@ -78,29 +97,22 @@ type robEntry struct {
 	isLoad      bool
 	agDone      bool
 	addr        uint64
-	laneAddrs   []uint64 // gather element addresses
 	memW        arch.ElemWidth
 	memLanes    int
 	memBytes    int
-	lines       []uint64
 	linesIssued int
 	linesPend   int
 	memDone     bool
 	fwdLatency  bool
-	sqIdx       int
-	lqHeld      bool
 	sqHeld      bool
 
 	resVal     uint64
-	resVec     isa.VecVal
 	resPred    isa.PredVal
 	storeStamp int64 // engine reservation stamp at rename (load ordering)
 
-	consumes []streamRec
-	produce  *streamRec
-	cfgTok   *engine.ConfigToken
-	ctl      bool // stream-control µOp (suspend/resume/stop/force)
-	ctlUndo  engine.CtlUndo
+	produce streamRec // output-stream reservation; produce.consumed is false when none
+	ctl     bool      // stream-control µOp (suspend/resume/stop/force)
+	ctlUndo engine.CtlUndo
 
 	sbEnd  uint16
 	sbLast bool
@@ -109,6 +121,8 @@ type robEntry struct {
 	faultAddr uint64
 }
 
+// sqEntry is one store-queue slot; the queue recycles slots, and lanes
+// keeps its capacity across occupants.
 type sqEntry struct {
 	seq      int64
 	addr     uint64
@@ -137,12 +151,14 @@ type Core struct {
 	fetchPC     int
 	fetchHoldTo int64
 	fetchHalted bool
-	decodeQ     []fetchedInst
+	decodeQ     ring.Queue[fetchedInst]
 	// Instruction-fetch timing through the L1-I: the front end stalls when
-	// the current fetch line is not resident.
+	// the current fetch line is not resident. At most one fill is in
+	// flight (ifetchBusy), for ifetchLine.
 	ifetchReadyLine uint64
 	ifetchHaveLine  bool
 	ifetchBusy      bool
+	ifetchLine      uint64
 
 	// Branch predictor: 2-bit counters, lazily initialized
 	// backward-taken/forward-not-taken. Dense per-PC table (PCs are
@@ -161,19 +177,27 @@ type Core struct {
 	fpReady  []bool
 	fpFree   []int
 	vecVal   []isa.VecVal
+	vecStore [][]uint64 // per-register lane storage vecVal[i].L reuses
 	vecReady []bool
 	vecFree  []int
 	prVal    []isa.PredVal
 	prReady  []bool
 	prFree   []int
 
+	// rob is the in-flight window, oldest first: a window over robBuf
+	// (twice ROBSize long) that slides back to the buffer's start when it
+	// reaches the end. Its entries come from robPool; robFree holds the
+	// pool entries not in the window.
 	rob      []*robEntry
-	iqCount  int
+	robBuf   []*robEntry
+	robPool  []robEntry
+	robFree  []*robEntry
+	iq       []*robEntry // renamed, not yet issued entries, oldest first
 	schedCnt [pgCount]int
-	lqCount  int
+	lq       ring.Queue[*robEntry] // the loads among them, oldest first
 
-	sq     []*sqEntry
-	drainQ []uint64 // committed store lines awaiting issue
+	sq     ring.Queue[sqEntry] // oldest first
+	drainQ ring.Queue[uint64]  // committed store lines awaiting issue
 
 	halted     bool
 	haltCycle  int64
@@ -233,6 +257,33 @@ func New(cfg Config, prog *program.Program, h *mem.Hierarchy, eng *engine.Engine
 	}
 	c.effVecBytes = cfg.VecBytes
 
+	c.robPool = make([]robEntry, cfg.ROBSize)
+	c.robBuf = make([]*robEntry, 0, 2*cfg.ROBSize)
+	c.rob = c.robBuf
+	c.robFree = make([]*robEntry, 0, cfg.ROBSize)
+	c.iq = make([]*robEntry, 0, cfg.IQSize)
+	c.lq = ring.New[*robEntry](cfg.LQSize)
+	// Buffers are sized for the worst case — lanes at the narrowest width,
+	// the lines a full vector spans, three stream sources — and carved
+	// from one allocation each.
+	vecBufs := carver[uint64](cfg.ROBSize, cfg.VecBytes)
+	lineBufs := carver[uint64](cfg.ROBSize, cfg.VecBytes/arch.LineSize+1)
+	consumeBufs := carver[streamRec](cfg.ROBSize, 3)
+	for i := len(c.robPool) - 1; i >= 0; i-- {
+		e := &c.robPool[i]
+		e.id = i
+		e.vecBuf, e.lines, e.consumes = vecBufs(), lineBufs(), consumeBufs()
+		c.robFree = append(c.robFree, e)
+	}
+	c.decodeQ = ring.New[fetchedInst](cfg.DecodeQueue)
+	c.sq = ring.New[sqEntry](cfg.SQSize)
+	sqBufs := carver[uint64](c.sq.Cap(), cfg.VecBytes)
+	for i := 0; i < c.sq.Cap(); i++ {
+		c.sq.PushSlot().lanes = sqBufs()
+	}
+	c.sq.Clear()
+	c.drainQ = ring.New[uint64](2 * cfg.SQSize)
+
 	alloc := func(n, archN int) (free []int) {
 		for i := archN; i < n; i++ {
 			free = append(free, i)
@@ -246,6 +297,11 @@ func New(cfg Config, prog *program.Program, h *mem.Hierarchy, eng *engine.Engine
 	c.fpReady = make([]bool, cfg.FPPRF)
 	c.fpFree = alloc(cfg.FPPRF, isa.NumFPRegs)
 	c.vecVal = make([]isa.VecVal, cfg.VecPRF)
+	c.vecStore = make([][]uint64, cfg.VecPRF)
+	regBufs := carver[uint64](cfg.VecPRF, cfg.VecBytes)
+	for i := range c.vecStore {
+		c.vecStore[i] = regBufs()
+	}
 	c.vecReady = make([]bool, cfg.VecPRF)
 	c.vecFree = alloc(cfg.VecPRF, isa.NumVecRegs)
 	c.prVal = make([]isa.PredVal, cfg.PredPRF)
@@ -272,10 +328,21 @@ func New(cfg Config, prog *program.Program, h *mem.Hierarchy, eng *engine.Engine
 
 	if eng != nil {
 		eng.SyncStoresPending = func() bool {
-			return len(c.sq) > 0 || len(c.drainQ) > 0
+			return c.sq.Len() > 0 || c.drainQ.Len() > 0
 		}
 	}
 	return c
+}
+
+// carver returns a function that hands out n empty buffers of capacity
+// size each, all carved from one allocation.
+func carver[T any](n, size int) func() []T {
+	arena := make([]T, n*size)
+	return func() []T {
+		b := arena[:0:size]
+		arena = arena[size:]
+		return b
+	}
 }
 
 // SetIntReg initializes an architectural integer register before Run (the
@@ -353,7 +420,7 @@ func (c *Core) Run() int64 {
 	// Drain timing: outstanding stores and stream stores flow to memory.
 	drained := false
 	for i := 0; i < 1_000_000; i++ {
-		pending := len(c.drainQ) > 0 || !c.hier.Quiesce()
+		pending := c.drainQ.Len() > 0 || !c.hier.Quiesce()
 		if c.eng != nil && c.eng.StoresPending() {
 			pending = true
 		}
@@ -503,6 +570,13 @@ func (c *Core) writePhys(class isa.RegClass, phys int, v uint64, vec isa.VecVal,
 		c.fpVal[phys] = v
 		c.fpReady[phys] = true
 	case isa.ClassVec:
+		// Copy into the register's own lane storage: vec may alias a ROB
+		// entry's or a stream FIFO's buffer, both of which are recycled. A
+		// nil L stays nil — operand lane counting tells it from an empty one.
+		if vec.L != nil {
+			c.vecStore[phys] = append(c.vecStore[phys][:0], vec.L...)
+			vec.L = c.vecStore[phys]
+		}
 		c.vecVal[phys] = vec
 		c.vecReady[phys] = true
 	case isa.ClassPred:

@@ -42,7 +42,7 @@ func (c *Core) maybeSkip() {
 		return
 	}
 	// States that would act — or mutate a reject/stall counter — next cycle.
-	if len(c.drainQ) > 0 || c.memPhaseBusy() {
+	if c.drainQ.Len() > 0 || c.memPhaseBusy() {
 		return
 	}
 	coreEv := c.nextEventAt()
@@ -133,7 +133,8 @@ func (c *Core) nextEventAt() int64 {
 // conflict-blocked and stream-overlap-blocked loads are pure waits whose
 // unblocking is driven by other entries' events.
 func (c *Core) memPhaseBusy() bool {
-	for _, e := range c.rob {
+	for i := 0; i < c.lq.Len(); i++ {
+		e := *c.lq.At(i)
 		if !loadEligible(e) {
 			continue
 		}
@@ -159,7 +160,7 @@ func (c *Core) memPhaseBusy() bool {
 // buffered nor resident, and the fill request is already in flight (the
 // only front-end state that stalls without mutating anything else).
 func (c *Core) fetchWouldStall() bool {
-	if c.fetchHalted || c.cycle < c.fetchHoldTo || len(c.decodeQ) >= c.cfg.DecodeQueue {
+	if c.fetchHalted || c.cycle < c.fetchHoldTo || c.decodeQ.Len() >= c.cfg.DecodeQueue {
 		return false
 	}
 	line := instLine(c.fetchPC)

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/isa"
@@ -34,21 +35,17 @@ func (c *Core) issue() {
 	}
 	var used [pgCount]int
 	issued := 0
-	for _, e := range c.rob {
+	waiting := c.iq[:0] // compacted in place: entries that stay in the IQ
+	for i, e := range c.iq {
 		if issued >= c.cfg.IssueWidth {
+			waiting = append(waiting, c.iq[i:]...)
 			break
 		}
-		if e.issued || e.squashed {
-			continue
-		}
-		if used[e.group] >= caps[e.group] {
-			continue
-		}
-		if !c.srcsReady(e) {
+		if used[e.group] >= caps[e.group] || !c.srcsReady(e) {
+			waiting = append(waiting, e)
 			continue
 		}
 		e.issued = true
-		c.iqCount--
 		c.schedCnt[e.group]--
 		used[e.group]++
 		issued++
@@ -58,6 +55,7 @@ func (c *Core) issue() {
 		}
 		c.execute(e)
 	}
+	c.iq = waiting
 }
 
 func (c *Core) operandU64(e *robEntry, i int) uint64 {
@@ -147,7 +145,7 @@ func (c *Core) execute(e *robEntry) {
 
 	case op == isa.OpVFAddV || op == isa.OpVFMaxV || op == isa.OpVFMinV:
 		bits := isa.EvalVecHoriz(op, in.W, c.operandVec(e, 0))
-		e.resVec = isa.VecFrom(in.W, []uint64{bits})
+		e.resVec = isa.VecVal{W: in.W, N: 1, L: append(e.vecBuf[:0], bits)}
 	case op == isa.OpVFAddVF || op == isa.OpVFMaxVF || op == isa.OpVFMinVF:
 		e.resVal = isa.EvalVecHoriz(op, in.W, c.operandVec(e, 0))
 
@@ -155,6 +153,7 @@ func (c *Core) execute(e *robEntry) {
 		args := isa.VecArgs{
 			A: c.operandVec(e, 0), B: c.operandVec(e, 1), C: c.operandVec(e, 2),
 			Pred: c.operandPred(e), Lanes: c.lanes(in.W), W: in.W,
+			Dst: e.vecBuf,
 		}
 		switch op {
 		case isa.OpVDup, isa.OpVDupX:
@@ -168,8 +167,8 @@ func (c *Core) execute(e *robEntry) {
 		if in.Dst.Class == isa.ClassVec {
 			for i, r := range [...]isa.Reg{in.Src1, in.Src2, in.Src3} {
 				if r.Class == isa.ClassVec && r.N == in.Dst.N {
-					mv := c.operandVec(e, i)
-					args.Merge = &mv
+					args.Merge = c.operandVec(e, i)
+					args.HasMerge = true
 					break
 				}
 			}
@@ -181,7 +180,7 @@ func (c *Core) execute(e *robEntry) {
 		e.addr = c.operandU64(e, 0) + uint64(in.Imm)
 		e.memBytes = int(in.W)
 		e.memLanes = 1
-		e.lines = lineSpan(e.addr, e.memBytes)
+		e.lines = appendLineSpan(e.lines, e.addr, e.memBytes)
 		e.execDoneAt = 0 // completes via the memory phase
 
 	case op == isa.OpVLoad:
@@ -198,7 +197,7 @@ func (c *Core) execute(e *robEntry) {
 			e.memDone = true
 			break
 		}
-		e.lines = lineSpan(e.addr, e.memBytes)
+		e.lines = appendLineSpan(e.lines, e.addr, e.memBytes)
 		e.execDoneAt = 0
 
 	case op == isa.OpVLoadG:
@@ -210,14 +209,11 @@ func (c *Core) execute(e *robEntry) {
 		e.memLanes = lanes
 		e.memBytes = lanes * int(in.W)
 		e.laneAddrs = e.laneAddrs[:0]
-		seen := map[uint64]bool{}
-		e.lines = nil
+		e.lines = e.lines[:0]
 		for l := 0; l < lanes; l++ {
 			a := base + idx.Lane(l)*uint64(in.W)
 			e.laneAddrs = append(e.laneAddrs, a)
-			ln := arch.LineOf(a)
-			if !seen[ln] {
-				seen[ln] = true
+			if ln := arch.LineOf(a); !slices.Contains(e.lines, ln) { // a gather touches a handful of lines
 				e.lines = append(e.lines, ln)
 			}
 		}
@@ -238,7 +234,7 @@ func (c *Core) execute(e *robEntry) {
 			sq.addr = e.addr
 			sq.bytes = e.memBytes
 			sq.w = in.W
-			sq.lanes = []uint64{isa.Truncate(in.W, c.operandU64(e, 2))}
+			sq.lanes = append(sq.lanes[:0], isa.Truncate(in.W, c.operandU64(e, 2)))
 			sq.resolved = true
 		}
 		if _, fault := c.hier.TLB.Translate(e.addr); fault {
@@ -258,7 +254,7 @@ func (c *Core) execute(e *robEntry) {
 			sq.addr = e.addr
 			sq.bytes = e.memBytes
 			sq.w = in.W
-			sq.lanes = append([]uint64(nil), data.L[:lanes]...)
+			sq.lanes = append(sq.lanes[:0], data.L[:lanes]...)
 			sq.resolved = true
 		}
 		if e.memBytes > 0 {
@@ -280,12 +276,12 @@ func (c *Core) readPredSrc(e *robEntry) isa.PredVal {
 	return isa.AllLanes
 }
 
-// lineSpan returns the cache lines covering [addr, addr+bytes).
-func lineSpan(addr uint64, bytes int) []uint64 {
-	first := arch.LineOf(addr)
+// appendLineSpan sets lines to the cache lines covering [addr,
+// addr+bytes), reusing its storage.
+func appendLineSpan(lines []uint64, addr uint64, bytes int) []uint64 {
+	lines = lines[:0]
 	last := arch.LineOf(addr + uint64(bytes) - 1)
-	lines := []uint64{first}
-	for l := first + arch.LineSize; l <= last; l += arch.LineSize {
+	for l := arch.LineOf(addr); l <= last; l += arch.LineSize {
 		lines = append(lines, l)
 	}
 	return lines
@@ -305,7 +301,8 @@ func loadEligible(e *robEntry) bool {
 // result; memPhaseBusy uses the same scan so the skip decision can never
 // disagree with the pipeline.
 func (c *Core) loadConflict(e *robEntry) (conflict bool, fwd *sqEntry) {
-	for _, s := range c.sq { // ordered oldest→youngest
+	for i := 0; i < c.sq.Len(); i++ { // ordered oldest→youngest
+		s := c.sq.At(i)
 		if s.seq >= e.seq || !s.live {
 			continue
 		}
@@ -351,14 +348,15 @@ func (c *Core) loadStreamBlocked(e *robEntry) bool {
 // stream-store overlap checks, translation, and line requests.
 func (c *Core) memPhase() {
 	ports := c.cfg.LoadPorts // line requests issuable this cycle
-	for _, e := range c.rob {
+	for i := 0; i < c.lq.Len(); i++ {
+		e := *c.lq.At(i)
 		if !loadEligible(e) {
 			continue
 		}
 		conflict, fwd := c.loadConflict(e)
 		if !conflict && fwd != nil {
 			e.resVal = fwd.lanes[0]
-			e.resVec = isa.VecFrom(e.memW, fwd.lanes)
+			e.resVec = isa.VecVal{W: e.memW, N: len(fwd.lanes), L: append(e.vecBuf[:0], fwd.lanes...)}
 			e.memDone = true
 			e.fwdLatency = true
 			e.execDoneAt = c.cycle + 4
@@ -383,10 +381,7 @@ func (c *Core) memPhase() {
 		}
 		// Issue outstanding line requests within port bandwidth.
 		for e.linesIssued < len(e.lines) && ports > 0 {
-			line := e.lines[e.linesIssued]
-			ee := e
-			req := &mem.Req{Line: line, PC: e.pc, Done: func(at int64) { c.loadLineArrived(ee, at) }}
-			ok := c.hier.Access(c.cycle, req)
+			ok := c.hier.Access(c.cycle, mem.Req{Line: e.lines[e.linesIssued], PC: e.pc, Done: c, Tag: loadTag(e)})
 			c.activity++ // both outcomes mutate: issue, or a reject tally below
 			if !ok {
 				break
@@ -405,7 +400,6 @@ func overlaps(a uint64, an int, b uint64, bn int) bool {
 // loadLineArrived completes one line of a load; when all lines are in, the
 // value is read functionally and writeback scheduled.
 func (c *Core) loadLineArrived(e *robEntry, now int64) {
-	c.activity++
 	if e.squashed || e.memDone {
 		return
 	}
@@ -422,17 +416,17 @@ func (c *Core) loadLineArrived(e *robEntry, now int64) {
 	case isa.OpFLoad:
 		e.resVal = c.hier.Mem.Read(e.addr, w)
 	case isa.OpVLoad:
-		lanes := make([]uint64, e.memLanes)
-		for i := range lanes {
-			lanes[i] = c.hier.Mem.Read(e.addr+uint64(i)*uint64(w), w)
+		lanes := e.vecBuf[:0]
+		for i := 0; i < e.memLanes; i++ {
+			lanes = append(lanes, c.hier.Mem.Read(e.addr+uint64(i)*uint64(w), w))
 		}
-		e.resVec = isa.VecFrom(w, lanes)
+		e.resVec = isa.VecVal{W: w, N: len(lanes), L: lanes}
 	case isa.OpVLoadG:
-		lanes := make([]uint64, len(e.laneAddrs))
-		for i, a := range e.laneAddrs {
-			lanes[i] = c.hier.Mem.Read(a, w)
+		lanes := e.vecBuf[:0]
+		for _, a := range e.laneAddrs {
+			lanes = append(lanes, c.hier.Mem.Read(a, w))
 		}
-		e.resVec = isa.VecFrom(w, lanes)
+		e.resVec = isa.VecVal{W: w, N: len(lanes), L: lanes}
 	}
 	e.execDoneAt = now + 1
 }
@@ -457,7 +451,7 @@ func (c *Core) complete() {
 		if e.dstClass != isa.ClassNone {
 			c.writePhys(e.dstClass, e.newPhys, e.resVal, e.resVec, e.resPred)
 		}
-		if e.produce != nil && e.produce.consumed && c.eng != nil {
+		if e.produce.consumed && c.eng != nil {
 			c.eng.WriteStoreData(e.produce.slot, e.produce.seq, e.resVec)
 		}
 		if e.isBranch && !e.brResolved {
@@ -486,14 +480,12 @@ func (c *Core) complete() {
 
 // drainStores issues committed (senior) store lines to the memory system.
 func (c *Core) drainStores() {
-	for n := 0; n < c.cfg.StorePorts && len(c.drainQ) > 0; n++ {
-		line := c.drainQ[0]
-		req := &mem.Req{Line: line, Write: true}
-		ok := c.hier.Access(c.cycle, req)
+	for n := 0; n < c.cfg.StorePorts && c.drainQ.Len() > 0; n++ {
+		ok := c.hier.Access(c.cycle, mem.Req{Line: *c.drainQ.Front(), Write: true})
 		c.activity++ // both outcomes mutate: a drained line, or a reject tally
 		if !ok {
 			return
 		}
-		c.drainQ = c.drainQ[1:]
+		c.drainQ.PopFront()
 	}
 }

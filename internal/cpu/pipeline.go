@@ -7,6 +7,35 @@ import (
 	"repro/internal/trace"
 )
 
+// Line requests complete through Core.Complete with a tag naming the
+// requester: ifetchTag for the instruction fetch, otherwise the ROB entry
+// as seq<<robIDBits | id.
+const (
+	robIDBits = 16
+	ifetchTag = ^uint64(0)
+)
+
+// loadTag names a ROB entry's current occupant in its line requests.
+func loadTag(e *robEntry) uint64 { return uint64(e.seq)<<robIDBits | uint64(e.id) }
+
+// Complete implements mem.Completer: an instruction-fetch fill, or one
+// line of a load. A load completion whose entry was squashed — and maybe
+// reused by a younger instruction, with a new seq — changes nothing.
+func (c *Core) Complete(now int64, tag uint64) {
+	c.activity++
+	if tag == ifetchTag {
+		c.ifetchBusy = false
+		c.ifetchHaveLine = true
+		c.ifetchReadyLine = c.ifetchLine
+		return
+	}
+	e := &c.robPool[tag&(1<<robIDBits-1)]
+	if e.seq != int64(tag>>robIDBits) {
+		return
+	}
+	c.loadLineArrived(e, now)
+}
+
 // --- fetch with branch prediction ---
 
 // bpUnset marks a branch-predictor slot that has never been consulted
@@ -81,14 +110,9 @@ func (c *Core) fetchLineReady(pc int) bool {
 		return false
 	}
 	c.ifetchBusy = true
+	c.ifetchLine = line
 	c.activity++ // request issue (or the reject tally it triggers below)
-	req := &mem.Req{Line: line, Done: func(int64) {
-		c.activity++
-		c.ifetchBusy = false
-		c.ifetchHaveLine = true
-		c.ifetchReadyLine = line
-	}}
-	if !c.hier.FetchInst(c.cycle, req) {
+	if !c.hier.FetchInst(c.cycle, mem.Req{Line: line, Done: c, Tag: ifetchTag}) {
 		c.ifetchBusy = false
 	}
 	c.Stats.FetchStallCycles++
@@ -102,7 +126,7 @@ func (c *Core) fetch() {
 	if c.fetchHalted || c.cycle < c.fetchHoldTo {
 		return
 	}
-	for i := 0; i < c.cfg.FetchWidth && len(c.decodeQ) < c.cfg.DecodeQueue; i++ {
+	for i := 0; i < c.cfg.FetchWidth && c.decodeQ.Len() < c.cfg.DecodeQueue; i++ {
 		if !c.fetchLineReady(c.fetchPC) {
 			return
 		}
@@ -115,7 +139,7 @@ func (c *Core) fetch() {
 				next = in.Target
 			}
 		}
-		c.decodeQ = append(c.decodeQ, fetchedInst{pc: c.fetchPC, predTaken: pred})
+		c.decodeQ.Push(fetchedInst{pc: c.fetchPC, predTaken: pred})
 		c.fetchPC = next
 		c.activity++
 		if in.Op == isa.OpHalt {
@@ -133,7 +157,7 @@ func (c *Core) redirect(pc int, penalty int) {
 	c.fetchPC = pc
 	c.fetchHoldTo = c.cycle + int64(penalty)
 	c.fetchHalted = false
-	c.decodeQ = c.decodeQ[:0]
+	c.decodeQ.Clear()
 	c.Stats.FetchRedirects++
 	if c.tracing {
 		c.rec.Emit(trace.Event{Cycle: c.cycle, Kind: trace.EvFetchRedirect, Arg0: int64(pc)})
@@ -156,15 +180,15 @@ func regOperands(op isa.Op) bool {
 
 func (c *Core) rename() {
 	blocked := BlockNone
-	for n := 0; n < c.cfg.FetchWidth && len(c.decodeQ) > 0; n++ {
-		f := c.decodeQ[0]
+	for n := 0; n < c.cfg.FetchWidth && c.decodeQ.Len() > 0; n++ {
+		f := *c.decodeQ.Front()
 		in := c.prog.At(f.pc)
 		cause := c.tryRename(f, in)
 		if cause != BlockNone {
 			blocked = cause
 			break
 		}
-		c.decodeQ = c.decodeQ[1:]
+		c.decodeQ.PopFront()
 		c.Stats.Renamed++
 		c.activity++
 	}
@@ -200,7 +224,7 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 	if in.Op == isa.OpSSetVL && len(c.rob) > 0 {
 		return BlockROB
 	}
-	if c.iqCount >= c.cfg.IQSize {
+	if len(c.iq) >= c.cfg.IQSize {
 		return BlockIQ
 	}
 	group := groupOf(in.Op)
@@ -209,10 +233,10 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 	}
 	isMem := in.Op.IsMem()
 	isLoad := isMem && !in.Op.IsStore()
-	if isLoad && c.lqCount >= c.cfg.LQSize {
+	if isLoad && c.lq.Len() >= c.cfg.LQSize {
 		return BlockLQ
 	}
-	if isMem && !isLoad && len(c.sq) >= c.cfg.SQSize {
+	if isMem && !isLoad && c.sq.Len() >= c.cfg.SQSize {
 		return BlockSQ
 	}
 
@@ -222,19 +246,20 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 		u    int
 		slot int
 	}
-	var consumes []consumePlan
+	var plans [3]consumePlan
+	consumes := plans[:0]
 	produceSlot := -1
 	if c.eng != nil && regOperands(in.Op) {
-		seen := map[uint8]bool{}
+		var seen uint64 // vector registers already planned, by number
 		for _, r := range [...]isa.Reg{in.Src1, in.Src2, in.Src3} {
-			if r.Class != isa.ClassVec || seen[r.N] {
+			if r.Class != isa.ClassVec || seen&(1<<r.N) != 0 {
 				continue
 			}
 			// The destructive read of the old destination in fmla-style ops
 			// is a regular register read, not a stream consume, when the
 			// destination is an output stream.
 			if slot, ok := c.eng.StreamFor(int(r.N)); ok && c.eng.IsLoad(slot) {
-				seen[r.N] = true
+				seen |= 1 << r.N
 				consumes = append(consumes, consumePlan{u: int(r.N), slot: slot})
 			}
 		}
@@ -278,18 +303,19 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 		}
 	}
 
-	e := &robEntry{
-		seq:       c.seq,
-		pc:        f.pc,
-		inst:      in,
-		predTaken: f.predTaken,
-		group:     group,
-		isBranch:  in.Op.IsBranch(),
-		isMem:     isMem,
-		isLoad:    isLoad,
-		memW:      in.W,
-		sqIdx:     -1,
-	}
+	// Take the free entry on top of the pool; it leaves the free list only
+	// once rename succeeds (a SCROB stall below returns it untouched).
+	e := c.robFree[len(c.robFree)-1]
+	e.reset()
+	e.seq = c.seq
+	e.pc = f.pc
+	e.inst = in
+	e.predTaken = f.predTaken
+	e.group = group
+	e.isBranch = in.Op.IsBranch()
+	e.isMem = isMem
+	e.isLoad = isLoad
+	e.memW = in.W
 	c.seq++
 
 	// Stream configuration µOps enter the SCROB at rename.
@@ -343,12 +369,11 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 			if !ok {
 				panic("cpu: CanReserve/ReserveStore disagree")
 			}
-			rec := streamRec{
+			e.produce = streamRec{
 				slot: produceSlot, seq: view.Seq,
 				prevEnd: view.PrevEnd, prevLast: view.PrevLast,
 				consumed: view.Consumed, n: view.N,
 			}
-			e.produce = &rec
 			if view.Fault {
 				e.fault = true
 				e.faultAddr = view.FaultAddr
@@ -403,30 +428,56 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 	}
 
 	if isLoad {
-		c.lqCount++
-		e.lqHeld = true
+		c.lq.Push(e)
 		if c.eng != nil {
 			e.storeStamp = c.eng.ReserveStamp()
 		}
 	}
 	if isMem && !isLoad {
-		sqe := &sqEntry{seq: e.seq, live: true}
-		c.sq = append(c.sq, sqe)
-		e.sqIdx = len(c.sq) - 1
+		sqe := c.sq.PushSlot()
+		*sqe = sqEntry{seq: e.seq, live: true, lanes: sqe.lanes[:0]}
 		e.sqHeld = true
 	}
-	c.iqCount++
+	c.iq = append(c.iq, e)
 	c.schedCnt[group]++
+	c.robFree = c.robFree[:len(c.robFree)-1]
+	if len(c.rob) == cap(c.rob) {
+		// The window reached the end of robBuf: slide it back to the start.
+		c.rob = append(c.robBuf[:0], c.rob...)
+	}
 	c.rob = append(c.rob, e)
 	return BlockNone
 }
 
+// reset readies a recycled entry for a new instruction: the pointer-free
+// state is zeroed, the owned buffers are truncated, and the rest is set
+// by rename.
+func (e *robEntry) reset() {
+	e.robState = robState{}
+	e.laneAddrs = e.laneAddrs[:0]
+	e.lines = e.lines[:0]
+	e.resVec = isa.VecVal{}
+	e.consumes = e.consumes[:0]
+	e.cfgTok = nil
+}
+
+// freeEntry returns an entry that left the ROB window to the pool.
+func (c *Core) freeEntry(e *robEntry) { c.robFree = append(c.robFree, e) }
+
+// sqIndex finds the SQ position of a store by sequence number, or -1.
+func (c *Core) sqIndex(seq int64) int {
+	for i := 0; i < c.sq.Len(); i++ {
+		if c.sq.At(i).seq == seq {
+			return i
+		}
+	}
+	return -1
+}
+
 // sqEntryFor finds the live SQ entry of a store by sequence number.
 func (c *Core) sqEntryFor(seq int64) *sqEntry {
-	for _, s := range c.sq {
-		if s.seq == seq {
-			return s
-		}
+	if i := c.sqIndex(seq); i >= 0 {
+		return c.sq.At(i)
 	}
 	return nil
 }

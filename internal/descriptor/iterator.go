@@ -63,21 +63,31 @@ type staticState struct {
 // NewIterator builds an iterator over d. src may be nil when the descriptor
 // has no indirect modifiers.
 func NewIterator(d *Descriptor, src OriginSource) *Iterator {
-	it := &Iterator{
-		desc:  d,
-		src:   src,
-		base:  int64(d.Base),
-		width: int64(d.Width),
-		n:     d.Levels(),
-		orig:  append([]Dim(nil), d.Dims...),
-		cur:   append([]Dim(nil), d.Dims...),
-	}
-	it.idx = make([]int64, it.n)
-	it.statics = make([]staticState, len(d.Static))
-	for i, m := range d.Static {
-		it.statics[i] = staticState{mod: m}
-	}
+	it := new(Iterator)
+	it.Reset(d, src)
 	return it
+}
+
+// Reset restarts it as a fresh iterator over d — what NewIterator(d, src)
+// returns — reusing its storage.
+func (it *Iterator) Reset(d *Descriptor, src OriginSource) {
+	*it = Iterator{
+		desc:    d,
+		src:     src,
+		base:    int64(d.Base),
+		width:   int64(d.Width),
+		n:       d.Levels(),
+		orig:    append(it.orig[:0], d.Dims...),
+		cur:     append(it.cur[:0], d.Dims...),
+		idx:     it.idx[:0],
+		statics: it.statics[:0],
+	}
+	for i := 0; i < it.n; i++ {
+		it.idx = append(it.idx, 0)
+	}
+	for _, m := range d.Static {
+		it.statics = append(it.statics, staticState{mod: m})
+	}
 }
 
 // Clone returns an independent copy of the iterator state. The origin source

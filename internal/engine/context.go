@@ -95,13 +95,7 @@ func (e *Engine) ReloadFromCommit(slot int) {
 		return
 	}
 	s.epoch++ // orphan in-flight line fetches
-	kept := e.mrq[:0]
-	for _, f := range e.mrq {
-		if f.slot != slot || f.issued {
-			kept = append(kept, f)
-		}
-	}
-	e.mrq = kept
+	e.dropUnissued(slot)
 	s.specPos = s.commitPos
 	s.genPos = s.commitPos
 	s.genStarted = false
@@ -117,15 +111,7 @@ func (e *Engine) allocAndConfigure(u int, d *descriptor.Descriptor) int {
 	}
 	slot := e.freeSlots[len(e.freeSlots)-1]
 	e.freeSlots = e.freeSlots[:len(e.freeSlots)-1]
-	var epoch uint64
-	if old := e.entries[slot]; old != nil {
-		epoch = old.epoch + 1
-	}
-	e.entries[slot] = &stream{
-		slot: slot, epoch: epoch, u: u,
-		kind: d.Kind, w: d.Width, level: d.Level,
-		configuring: true,
-	}
+	e.installStream(slot, u, d.Kind, d.Width, d.Level)
 	e.sat[u] = slot
 	e.configure(slot, d)
 	return slot
@@ -153,7 +139,7 @@ func (e *Engine) fastForward(s *stream) {
 			s.originCum[i] = 0
 		}
 	}
-	s.it = descriptor.NewIterator(s.desc, s.shadow)
+	s.it.Reset(s.desc, s.shadow)
 	s.itHas = false
 	s.itDone = false
 	s.lastLineState = 0

@@ -16,6 +16,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/ring"
 	"repro/internal/trace"
 )
 
@@ -107,7 +108,9 @@ type StreamTraffic struct {
 // ChunkView is what the core receives when a stream register is consumed at
 // rename (loads) or reserved (stores).
 type ChunkView struct {
-	Seq       int64
+	Seq int64
+	// Data aliases the chunk's FIFO storage, which is regenerated once the
+	// consume commits; a caller that keeps the lanes copies them.
 	Data      isa.VecVal
 	N         int
 	End       uint16
@@ -153,7 +156,13 @@ func (c *chunk) reset(seq, startElem int64) {
 // loadReady reports whether a load chunk's data can be handed to the core.
 func (c *chunk) loadReady() bool { return c.closed && c.pendLines == 0 }
 
+// lineFetch is one MRQ line request. Records are recycled through the
+// engine's free list: id indexes Engine.fetches and gen counts the record's
+// reuses, and the pair forms the memory request's tag, so a completion that
+// names an earlier occupant of the record is recognized and dropped.
 type lineFetch struct {
+	id      uint32
+	gen     uint32
 	line    uint64
 	issued  bool
 	slot    int
@@ -324,13 +333,26 @@ type Engine struct {
 	sat       []int // logical stream register → slot, -1 when unmapped
 	entries   []*stream
 	freeSlots []int
+	fifos     [][]chunk              // per-slot FIFO storage, reused by the slot's streams
+	iters     []*descriptor.Iterator // per-slot pattern iterators, likewise
 
-	scrob    []*scrobEntry
-	building map[int][]*isa.StreamCfgPart // slot → parts accumulated in order
+	scrob      ring.Queue[*scrobEntry] // program order
+	freeTokens []*scrobEntry
+	partsBuf   []*isa.StreamCfgPart // a configuration's parts, rebuilt at its End part
+	// building maps a slot to the parts accumulated in order; an emptied
+	// entry keeps its capacity for the slot's next configuration.
+	building map[int][]*isa.StreamCfgPart
 
-	vecBytes     int // effective vector length (ss.setvl), affects new configs
-	mrq          []*lineFetch
-	storeQ       []storeLine
+	vecBytes int // effective vector length (ss.setvl), affects new configs
+	mrq      []*lineFetch
+	storeQ   ring.Queue[storeLine]
+	// fetches holds every lineFetch record this engine created, by id;
+	// freeFetches the ones not in use.
+	fetches      []*lineFetch
+	freeFetches  []*lineFetch
+	cand         []*stream  // scheduler candidates, reused every cycle
+	candKeys     []uint64   // their priority keys
+	lineBuf      []uint64   // unique-line scratch for store chunks
 	rr           int        // scheduler round-robin cursor
 	reserveStamp int64      // monotonically counts store reservations
 	lastFlags    []flagPair // final flags of released streams, by logical reg
@@ -374,15 +396,25 @@ func New(cfg Config, h *mem.Hierarchy) *Engine {
 		panic(fmt.Sprintf("engine: LogStreams %d exceeds the %d-entry Stream Table geometry", cfg.LogStreams, maxStreamRegs))
 	}
 	e := &Engine{
-		cfg:       cfg,
-		hier:      h,
-		sat:       make([]int, cfg.LogStreams),
-		entries:   make([]*stream, cfg.PhysStreams),
-		building:  make(map[int][]*isa.StreamCfgPart),
-		lastFlags: make([]flagPair, cfg.LogStreams),
+		cfg:         cfg,
+		hier:        h,
+		sat:         make([]int, cfg.LogStreams),
+		entries:     make([]*stream, cfg.PhysStreams),
+		fifos:       make([][]chunk, cfg.PhysStreams),
+		iters:       make([]*descriptor.Iterator, cfg.PhysStreams),
+		building:    make(map[int][]*isa.StreamCfgPart),
+		lastFlags:   make([]flagPair, cfg.LogStreams),
+		mrq:         make([]*lineFetch, 0, cfg.MRQSize),
+		freeFetches: make([]*lineFetch, 0, cfg.MRQSize),
+		cand:        make([]*stream, 0, cfg.PhysStreams),
+		candKeys:    make([]uint64, 0, cfg.PhysStreams),
+		traffic:     make([]StreamTraffic, 0, 2*cfg.PhysStreams),
 	}
 	for i := range e.sat {
 		e.sat[i] = -1
+	}
+	for slot := 0; slot < cfg.PhysStreams; slot++ {
+		e.building[slot] = make([]*isa.StreamCfgPart, 0, descriptor.MaxDims+descriptor.MaxMods)
 	}
 	for i := cfg.PhysStreams - 1; i >= 0; i-- {
 		e.freeSlots = append(e.freeSlots, i)
@@ -455,33 +487,29 @@ func (e *Engine) IsLoad(slot int) bool {
 // stall on CanConsume until configuration completes, exactly the stream
 // renaming the paper describes (§IV-A "Stream Renaming").
 func (e *Engine) RenameConfigPart(part *isa.StreamCfgPart) (*ConfigToken, bool) {
-	if len(e.scrob) >= e.cfg.SCROBSize {
+	if e.scrob.Len() >= e.cfg.SCROBSize || part.Start && len(e.freeSlots) == 0 {
 		return nil, false
 	}
-	ent := &scrobEntry{part: part, valid: true, activatedSlot: -1, slot: -1}
+	var ent *scrobEntry
+	if n := len(e.freeTokens); n > 0 {
+		ent = e.freeTokens[n-1]
+		e.freeTokens = e.freeTokens[:n-1]
+	} else {
+		ent = new(scrobEntry)
+	}
+	*ent = scrobEntry{part: part, valid: true, activatedSlot: -1, slot: -1, restoreBuilding: ent.restoreBuilding[:0]}
 	if part.Start {
-		if len(e.freeSlots) == 0 {
-			return nil, false
-		}
 		slot := e.freeSlots[len(e.freeSlots)-1]
 		e.freeSlots = e.freeSlots[:len(e.freeSlots)-1]
-		var epoch uint64
-		if old := e.entries[slot]; old != nil {
-			epoch = old.epoch + 1
-		}
-		e.entries[slot] = &stream{
-			slot: slot, epoch: epoch, u: part.Stream,
-			kind: part.Kind, w: part.Width, level: part.Level,
-			configuring: true,
-		}
+		e.installStream(slot, part.Stream, part.Kind, part.Width, part.Level)
 		ent.activatedSlot = slot
 		ent.prevSAT = e.sat[part.Stream]
 		e.sat[part.Stream] = slot
 	}
 	ent.slot = e.sat[part.Stream]
-	e.scrob = append(e.scrob, ent)
+	e.scrob.Push(ent)
 	if debugSCROB {
-		fmt.Printf("scrob: rename part u%d slot=%d start=%v end=%v (queue %d)\n", part.Stream, ent.slot, part.Start, part.End, len(e.scrob))
+		fmt.Printf("scrob: rename part u%d slot=%d start=%v end=%v (queue %d)\n", part.Stream, ent.slot, part.Start, part.End, e.scrob.Len())
 	}
 	return ent, true
 }
@@ -497,19 +525,14 @@ func (e *Engine) SquashConfigPart(tok *ConfigToken) {
 		fmt.Printf("scrob: squash part u%d start=%v end=%v processed=%v\n", tok.part.Stream, tok.part.Start, tok.part.End, tok.processed)
 	}
 	if !tok.processed {
-		for i := len(e.scrob) - 1; i >= 0; i-- {
-			if e.scrob[i] == tok {
-				e.scrob = append(e.scrob[:i], e.scrob[i+1:]...)
-				break
-			}
-		}
+		e.dropScrob(tok)
 		return
 	}
 	u := tok.part.Stream
 	if tok.part.Start && tok.activatedSlot >= 0 {
 		// Undo the rename-side allocation: release the slot and restore the
 		// previous mapping.
-		delete(e.building, tok.activatedSlot)
+		e.clearBuilding(tok.activatedSlot)
 		e.releaseSlot(tok.activatedSlot)
 		e.sat[u] = tok.prevSAT
 		e.dropScrob(tok)
@@ -531,6 +554,26 @@ func (e *Engine) SquashConfigPart(tok *ConfigToken) {
 	e.dropScrob(tok)
 }
 
+// installStream puts a fresh configuring stream into slot. The slot's
+// previous occupant — released, or replaced by a squash — is dead: its
+// epoch orphans its in-flight line fetches, and it gives up the slot's
+// FIFO storage and iterator (see configure), so a stray use of it panics
+// instead of reading the new stream's state.
+func (e *Engine) installStream(slot, u int, kind descriptor.Kind, w arch.ElemWidth, level arch.CacheLevel) *stream {
+	var epoch uint64
+	if old := e.entries[slot]; old != nil {
+		epoch = old.epoch + 1
+		old.fifo, old.it = nil, nil
+	}
+	s := &stream{
+		slot: slot, epoch: epoch, u: u,
+		kind: kind, w: w, level: level,
+		configuring: true,
+	}
+	e.entries[slot] = s
+	return s
+}
+
 // deconfigure reverts a stream to its configuring state after the squash of
 // its End part.
 func (e *Engine) deconfigure(slot int, building []*isa.StreamCfgPart) {
@@ -540,28 +583,23 @@ func (e *Engine) deconfigure(slot int, building []*isa.StreamCfgPart) {
 	}
 	e.sanEndSlot(s)
 	e.Stats.Regenerations++
-	e.entries[slot] = &stream{
-		slot: slot, epoch: s.epoch + 1, u: s.u,
-		kind: s.kind, w: s.w, level: s.level,
-		configuring: true,
+	e.installStream(slot, s.u, s.kind, s.w, s.level)
+	e.dropUnissued(slot)
+	e.building[slot] = append(e.building[slot][:0], building...)
+}
+
+// clearBuilding empties the slot's accumulated parts, keeping the storage.
+func (e *Engine) clearBuilding(slot int) {
+	if b, ok := e.building[slot]; ok {
+		e.building[slot] = b[:0]
 	}
-	kept := e.mrq[:0]
-	for _, f := range e.mrq {
-		if f.slot != slot || f.issued {
-			kept = append(kept, f)
-		}
-	}
-	e.mrq = kept
-	e.building[slot] = building
 }
 
 func (e *Engine) dropScrob(tok *scrobEntry) {
-	if !tok.part.Start && tok.part.End {
-		_ = tok // keep symmetric structure; removal below covers all cases
-	}
-	for i := len(e.scrob) - 1; i >= 0; i-- {
-		if e.scrob[i] == tok {
-			e.scrob = append(e.scrob[:i], e.scrob[i+1:]...)
+	for i := e.scrob.Len() - 1; i >= 0; i-- {
+		if *e.scrob.At(i) == tok {
+			e.scrob.Remove(i)
+			e.freeTokens = append(e.freeTokens, tok)
 			return
 		}
 	}
@@ -588,8 +626,8 @@ func (e *Engine) CommitConfigPart(tok *ConfigToken) {
 			s.configDone = true
 		}
 	}
-	for len(e.scrob) > 0 && e.scrob[0].committed {
-		e.scrob = e.scrob[1:]
+	for e.scrob.Len() > 0 && (*e.scrob.Front()).committed {
+		e.freeTokens = append(e.freeTokens, e.scrob.PopFront())
 	}
 }
 
@@ -597,7 +635,8 @@ func (e *Engine) CommitConfigPart(tok *ConfigToken) {
 // finalizes a stream when its End part is processed — speculatively, before
 // commit (paper §IV-A "Stream Configuration").
 func (e *Engine) processSCROB() {
-	for _, ent := range e.scrob {
+	for i := 0; i < e.scrob.Len(); i++ {
+		ent := *e.scrob.At(i)
 		if !ent.valid {
 			continue
 		}
@@ -607,7 +646,8 @@ func (e *Engine) processSCROB() {
 		part := ent.part
 		slot := ent.slot
 		if part.End {
-			parts := append(append([]*isa.StreamCfgPart{}, e.building[slot]...), part)
+			parts := append(append(e.partsBuf[:0], e.building[slot]...), part)
+			e.partsBuf = parts
 			if parts[0].Start && parts[0].Kind == descriptor.Load {
 				// Input streams synchronize with older pending scalar stores
 				// and with still-active output streams before activating
@@ -620,8 +660,8 @@ func (e *Engine) processSCROB() {
 			}
 			ent.processed = true
 			e.activity++
-			ent.restoreBuilding = e.building[slot]
-			delete(e.building, slot)
+			ent.restoreBuilding = append(ent.restoreBuilding[:0], e.building[slot]...)
+			e.clearBuilding(slot)
 			d, err := isa.RebuildDescriptor(parts)
 			if err != nil {
 				panic(fmt.Sprintf("engine: bad stream config for u%d: %v", part.Stream, err))
@@ -656,7 +696,15 @@ func (e *Engine) configure(slot int, d *descriptor.Descriptor) {
 	s.w = d.Width
 	s.lanes = arch.LanesFor(e.vecBytes, d.Width)
 	s.level = d.Level
-	s.fifo = make([]chunk, e.cfg.FIFODepth)
+	// The slot's FIFO storage outlives its streams: chunks are cleared to
+	// their zero state but keep their lane buffers' capacity.
+	if len(e.fifos[slot]) == 0 {
+		e.fifos[slot] = make([]chunk, e.cfg.FIFODepth)
+	}
+	s.fifo = e.fifos[slot]
+	for i := range s.fifo {
+		s.fifo[i].reset(0, 0)
+	}
 	s.computeFootprint()
 	if d.HasIndirect() {
 		s.shadow = &shadowSource{mem: e.hier.Mem, owner: s}
@@ -674,7 +722,11 @@ func (e *Engine) configure(slot int, d *descriptor.Descriptor) {
 			s.shadow.ws[ou] = os.w
 		}
 	}
-	s.it = descriptor.NewIterator(d, s.shadow)
+	if e.iters[slot] == nil {
+		e.iters[slot] = new(descriptor.Iterator)
+	}
+	s.it = e.iters[slot]
+	s.it.Reset(d, s.shadow)
 	e.Stats.ConfigsCompleted++
 	if e.tracing {
 		e.rec.Emit(trace.Event{Cycle: e.now, Kind: trace.EvStreamConfig, Arg0: int64(slot), Arg1: int64(s.u)})
@@ -783,13 +835,7 @@ func (e *Engine) releaseSlot(slot int) {
 	s.released = true
 	s.epoch++ // invalidate in-flight callbacks
 	// Remove the slot's pending MRQ entries.
-	kept := e.mrq[:0]
-	for _, f := range e.mrq {
-		if f.slot != slot || f.issued {
-			kept = append(kept, f)
-		}
-	}
-	e.mrq = kept
+	e.dropUnissued(slot)
 	e.freeSlots = append(e.freeSlots, slot)
 	e.Stats.StreamsReleased++
 	if e.tracing {

@@ -34,8 +34,8 @@ func (e *Engine) Activity() uint64 { return e.activity }
 // Ticks strictly before the returned cycle are provable no-ops, which is
 // what lets the core's event-driven scheduler skip them.
 func (e *Engine) NextEventAt(now int64) int64 {
-	for _, ent := range e.scrob {
-		if ent.valid && !ent.processed {
+	for i := 0; i < e.scrob.Len(); i++ {
+		if ent := *e.scrob.At(i); ent.valid && !ent.processed {
 			return now + 1
 		}
 	}
@@ -80,7 +80,7 @@ func (e *Engine) NextEventAt(now int64) int64 {
 		}
 		return now + 1
 	}
-	if len(e.storeQ) > 0 {
+	if e.storeQ.Len() > 0 {
 		return now + 1
 	}
 	return next

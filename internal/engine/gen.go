@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/descriptor"
@@ -234,7 +234,6 @@ func (e *Engine) ensureLine(s *stream, line uint64, now int64) bool {
 		}
 		return false
 	}
-	f := &lineFetch{line: line, slot: s.slot, epoch: s.epoch, level: s.level, pc: -(1000 + s.slot)}
 	// Translation happens at the arbiter (paper Fig 7.A); a page fault
 	// flags the affected elements instead of issuing a request.
 	if _, fault := e.hier.TLB.Translate(line); fault {
@@ -245,6 +244,8 @@ func (e *Engine) ensureLine(s *stream, line uint64, now int64) bool {
 		return true
 	}
 	s.lastFault = false
+	f := e.newFetch()
+	f.line, f.slot, f.epoch, f.level, f.pc = line, s.slot, s.epoch, s.level, -(1000 + s.slot)
 	e.mrq = append(e.mrq, f)
 	e.Stats.LineRequests++
 	s.lineReqs++
@@ -255,6 +256,46 @@ func (e *Engine) ensureLine(s *stream, line uint64, now int64) bool {
 	s.lastLineState = 1
 	s.lastFetch = f
 	return true
+}
+
+// newFetch takes a cleared lineFetch record off the free list, creating
+// one only while the engine warms up (at most MRQSize are ever live).
+func (e *Engine) newFetch() *lineFetch {
+	n := len(e.freeFetches)
+	if n == 0 {
+		f := &lineFetch{id: uint32(len(e.fetches))}
+		e.fetches = append(e.fetches, f)
+		return f
+	}
+	f := e.freeFetches[n-1]
+	e.freeFetches = e.freeFetches[:n-1]
+	*f = lineFetch{id: f.id, gen: f.gen, waiters: f.waiters[:0]}
+	return f
+}
+
+// recycleFetch returns a record no longer in the MRQ to the free list. The
+// generation bump orphans any completion still naming the old occupant.
+func (e *Engine) recycleFetch(f *lineFetch) {
+	f.gen++
+	e.freeFetches = append(e.freeFetches, f)
+}
+
+// fetchTag names a fetch record's current occupant in its memory request.
+func fetchTag(f *lineFetch) uint64 { return uint64(f.gen)<<32 | uint64(f.id) }
+
+// dropUnissued removes the slot's not-yet-issued MRQ entries (squash,
+// release, reload). Issued ones stay until their line arrives, when the
+// epoch check discards the data.
+func (e *Engine) dropUnissued(slot int) {
+	kept := e.mrq[:0]
+	for _, f := range e.mrq {
+		if f.slot != slot || f.issued {
+			kept = append(kept, f)
+		} else {
+			e.recycleFetch(f)
+		}
+	}
+	e.mrq = kept
 }
 
 // placeElem appends one element to the building chunk, wiring its data
@@ -312,15 +353,15 @@ func (e *Engine) closeChunk(s *stream, c *chunk, el descriptor.Elem) {
 		e.Stats.ElementsLoaded += uint64(c.n)
 	} else {
 		e.Stats.ChunksStored++
-		// Store addresses are translated when generated; faults surface
-		// when the chunk is reserved/committed.
-		seen := map[uint64]bool{}
+		// Store addresses are translated when generated, once per line;
+		// faults surface when the chunk is reserved/committed.
+		e.lineBuf = e.lineBuf[:0]
 		for _, a := range c.addrs {
 			l := arch.LineOf(a)
-			if seen[l] {
+			if slices.Contains(e.lineBuf, l) {
 				continue
 			}
-			seen[l] = true
+			e.lineBuf = append(e.lineBuf, l)
 			if _, fault := e.hier.TLB.Translate(l); fault {
 				e.Stats.PageFaults++
 				c.fault = true
@@ -429,9 +470,13 @@ func (e *Engine) ConsumeChunk(slot int) (ChunkView, bool) {
 	if !c.loadReady() || !e.originsDelivered(s, c) {
 		return ChunkView{}, false
 	}
+	data := isa.VecVal{W: s.w, N: c.n} // an empty chunk's L stays nil, as a copy's would
+	if c.n > 0 {
+		data.L = c.data[:c.n:c.n]
+	}
 	v := ChunkView{
 		Seq:       c.seq,
-		Data:      isa.VecFrom(s.w, c.data[:c.n]),
+		Data:      data,
 		N:         c.n,
 		End:       c.end,
 		Last:      c.last,
@@ -559,14 +604,14 @@ func (e *Engine) CommitStore(slot int, seq int64, now int64) {
 	for i := 0; i < c.n; i++ {
 		e.hier.Mem.Write(c.addrs[i], s.w, c.data[i])
 	}
-	seen := map[uint64]bool{}
+	e.lineBuf = e.lineBuf[:0]
 	for _, a := range c.addrs {
 		l := arch.LineOf(a)
-		if seen[l] {
+		if slices.Contains(e.lineBuf, l) {
 			continue
 		}
-		seen[l] = true
-		e.storeQ = append(e.storeQ, storeLine{line: l, level: s.level, s: s})
+		e.lineBuf = append(e.lineBuf, l)
+		e.storeQ.Push(storeLine{line: l, level: s.level, s: s})
 		s.pendingStoreLines++
 		e.Stats.StoreLines++
 		s.storeLineCnt++
@@ -743,7 +788,7 @@ func (e *Engine) storeStreamsBusy() bool {
 // StoresPending reports whether any committed stream store is still
 // draining to memory.
 func (e *Engine) StoresPending() bool {
-	if len(e.storeQ) > 0 {
+	if e.storeQ.Len() > 0 {
 		return true
 	}
 	for _, s := range e.entries {
@@ -788,7 +833,7 @@ func (e *Engine) Tick(now int64) {
 // Stats.OriginStallCycles was declared but never incremented.)
 func (e *Engine) tallyOriginStalls(now int64) {
 	for _, s := range e.entries {
-		if !e.originStalled(s) {
+		if s == nil || len(s.originRefs) == 0 || !e.originStalled(s) {
 			continue
 		}
 		e.Stats.OriginStallCycles++
@@ -820,27 +865,36 @@ func (e *Engine) originStalled(s *stream) bool {
 // (paper: "streams with lower FIFO occupancy take precedence") and runs one
 // generation step on each.
 func (e *Engine) schedule(now int64) {
-	var cand []*stream
+	// Priority: lower occupancy first, ties broken by the slot order
+	// rotated by the round-robin cursor. Keys are unique (slots are), so
+	// selecting the NumModules smallest in turn yields exactly the head of
+	// the sorted candidate order.
+	rr := e.rr
+	cand, keys := e.cand[:0], e.candKeys[:0]
 	for _, s := range e.entries {
 		if s != nil && s.desc != nil && s.wantsGen(now) {
 			cand = append(cand, s)
+			keys = append(keys, uint64(s.occupancy())<<32|uint64((s.slot+rr)%len(e.entries)))
 		}
 	}
+	e.cand, e.candKeys = cand, keys
 	if len(cand) == 0 {
 		return
 	}
-	rr := e.rr
 	e.rr++
-	sort.SliceStable(cand, func(i, j int) bool {
-		oi, oj := cand[i].occupancy(), cand[j].occupancy()
-		if oi != oj {
-			return oi < oj
-		}
-		return (cand[i].slot+rr)%len(e.entries) < (cand[j].slot+rr)%len(e.entries)
-	})
 	n := e.cfg.NumModules
 	if n > len(cand) {
 		n = len(cand)
+	}
+	for i := 0; i < n; i++ {
+		min := i
+		for j := i + 1; j < len(cand); j++ {
+			if keys[j] < keys[min] {
+				min = j
+			}
+		}
+		cand[i], cand[min] = cand[min], cand[i]
+		keys[i], keys[min] = keys[min], keys[i]
 	}
 	for i := 0; i < n; i++ {
 		e.genStep(cand[i], now)
@@ -874,14 +928,23 @@ func (e *Engine) issueMRQ(now int64) {
 				continue
 			}
 		}
-		ff := f
-		req := &mem.Req{Line: ff.line, MinLevel: ff.level, PC: ff.pc, Done: func(at int64) { e.lineArrived(ff, at) }}
-		if !e.hier.Access(now, req) {
+		if !e.hier.Access(now, mem.Req{Line: f.line, MinLevel: f.level, PC: f.pc, Done: e, Tag: fetchTag(f)}) {
 			return
 		}
-		ff.issued = true
+		f.issued = true
 		budget--
 	}
+}
+
+// Complete implements mem.Completer for the engine's line fetches; the
+// tag is fetchTag of the fetch record.
+func (e *Engine) Complete(now int64, tag uint64) {
+	f := e.fetches[uint32(tag)]
+	if f.gen != uint32(tag>>32) {
+		return // the record was recycled: a completion for an earlier occupant
+	}
+	e.lineArrived(f, now)
+	e.recycleFetch(f)
 }
 
 func (e *Engine) lineArrived(f *lineFetch, now int64) {
@@ -915,16 +978,15 @@ func (e *Engine) lineArrived(f *lineFetch, now int64) {
 // drainStore issues one committed store line per cycle through the engine's
 // store port.
 func (e *Engine) drainStore(now int64) {
-	if len(e.storeQ) == 0 {
+	if e.storeQ.Len() == 0 {
 		return
 	}
-	sl := e.storeQ[0]
-	req := &mem.Req{Line: sl.line, Write: true, MinLevel: storeLevel(sl.level)}
-	if !e.hier.Access(now, req) {
+	sl := e.storeQ.Front()
+	if !e.hier.Access(now, mem.Req{Line: sl.line, Write: true, MinLevel: storeLevel(sl.level)}) {
 		return
 	}
-	e.storeQ = e.storeQ[1:]
 	sl.s.pendingStoreLines--
+	e.storeQ.PopFront()
 	e.activity++
 }
 

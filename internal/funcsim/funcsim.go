@@ -430,8 +430,8 @@ func (m *Machine) step(pc int) (next int, halt bool, err error) {
 		if in.Dst.Class == isa.ClassVec {
 			for i, r := range [...]isa.Reg{in.Src1, in.Src2, in.Src3} {
 				if r.Class == isa.ClassVec && r.N == in.Dst.N {
-					mv := [...]isa.VecVal{args.A, args.B, args.C}[i]
-					args.Merge = &mv
+					args.Merge = [...]isa.VecVal{args.A, args.B, args.C}[i]
+					args.HasMerge = true
 					break
 				}
 			}

@@ -134,12 +134,38 @@ type VecArgs struct {
 	Pred    PredVal
 	Lanes   int // architected lane count for the operating width
 	W       arch.ElemWidth
-	// Merge, when non-nil, supplies the old destination value for
+	// Merge, when HasMerge is set, supplies the old destination value for
 	// destructive operations: result lanes beyond the active count keep its
 	// lanes (predicate-merging semantics; this is what makes UVE's
 	// automatic out-of-bounds lane disabling act as an identity in
 	// accumulator patterns like vectormax u5,u5,u0 — paper F5).
-	Merge *VecVal
+	Merge    VecVal
+	HasMerge bool
+	// Dst, when its capacity covers the result, is the storage the result
+	// lanes are written to (the result aliases it); otherwise the result
+	// gets fresh storage. It must not overlap an operand.
+	Dst []uint64
+}
+
+// result returns an all-zero n-lane result vector of width w.
+func (a *VecArgs) result(w arch.ElemWidth, n int) VecVal {
+	if a.Dst == nil || cap(a.Dst) < n {
+		return NewVec(w, n)
+	}
+	l := a.Dst[:n]
+	clear(l)
+	return VecVal{W: w, N: n, L: l}
+}
+
+// copyOf returns v.Clone(), in Dst's storage when it has room. Like Clone,
+// it leaves an empty vector's L nil.
+func (a *VecArgs) copyOf(v VecVal) VecVal {
+	if len(v.L) == 0 || cap(a.Dst) < len(v.L) {
+		return v.Clone()
+	}
+	out := v
+	out.L = append(a.Dst[:0], v.L...)
+	return out
 }
 
 // laneCount determines the number of result lanes: the predicate limit
@@ -165,21 +191,23 @@ func EvalVecALU(op Op, args VecArgs) VecVal {
 	w := args.W
 	switch op {
 	case OpVDup, OpVDupX:
-		out := NewVec(w, args.Pred.Limit(args.Lanes))
+		out := args.result(w, args.Pred.Limit(args.Lanes))
 		for i := range out.L {
 			out.L[i] = args.Scalar
 		}
 		return out
 	case OpVMove:
-		out := args.A.Clone()
+		out := args.copyOf(args.A)
 		if n := args.Pred.Limit(args.Lanes); out.N > n {
 			out.N, out.L = n, out.L[:n]
 		}
 		return out
 	case OpVExtract:
-		return VecFrom(w, []uint64{args.A.Lane(int(args.Scalar))})
+		out := args.result(w, 1)
+		out.L[0] = args.A.Lane(int(args.Scalar))
+		return out
 	case OpVBcast:
-		out := NewVec(w, args.Pred.Limit(args.Lanes))
+		out := args.result(w, args.Pred.Limit(args.Lanes))
 		for i := range out.L {
 			out.L[i] = args.A.Lane(0)
 		}
@@ -189,11 +217,10 @@ func EvalVecALU(op Op, args VecArgs) VecVal {
 	// frame prepares the output vector: active lanes are computed, lanes
 	// beyond them merge the old destination when one is supplied.
 	frame := func(n int) VecVal {
-		if args.Merge == nil || args.Merge.N <= n {
-			return NewVec(w, n)
+		if !args.HasMerge || args.Merge.N <= n {
+			return args.result(w, n)
 		}
-		out := args.Merge.Clone()
-		return out
+		return args.copyOf(args.Merge)
 	}
 	fbin := func(f func(x, y float64) float64, a, b VecVal) VecVal {
 		n := args.laneCount(a, b)

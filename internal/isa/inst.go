@@ -348,12 +348,13 @@ func RebuildDescriptor(parts []*StreamCfgPart) (*descriptor.Descriptor, error) {
 	if len(parts) == 0 || !parts[0].Start {
 		return nil, fmt.Errorf("stream config: missing start part")
 	}
-	d := &descriptor.Descriptor{
-		Base:  parts[0].Base,
-		Width: parts[0].Width,
-		Kind:  parts[0].Kind,
-		Level: parts[0].Level,
-	}
+	// One allocation holds the descriptor and room for its dimensions.
+	st := new(struct {
+		d    descriptor.Descriptor
+		dims [descriptor.MaxDims]descriptor.Dim
+	})
+	d := &st.d
+	d.Base, d.Width, d.Kind, d.Level = parts[0].Base, parts[0].Width, parts[0].Kind, parts[0].Level
 	for _, p := range parts {
 		switch {
 		case p.Mod != nil:
@@ -370,6 +371,9 @@ func RebuildDescriptor(parts []*StreamCfgPart) (*descriptor.Descriptor, error) {
 			// part order alone cannot distinguish the two.
 			d.Indirect = append(d.Indirect, *p.Ind)
 		default:
+			if d.Dims == nil {
+				d.Dims = st.dims[:0]
+			}
 			d.Dims = append(d.Dims, p.Dim)
 		}
 	}

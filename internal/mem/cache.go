@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
+	"repro/internal/ring"
 )
 
 // LineState is a MOESI coherence state (paper: snoop-based MOESI between
@@ -39,9 +40,10 @@ func (s LineState) Dirty() bool { return s == Modified || s == Owned }
 
 // Prefetcher reacts to demand accesses and proposes lines to prefetch.
 type Prefetcher interface {
-	// OnAccess observes a demand access and returns line addresses to
-	// prefetch into the observing cache.
-	OnAccess(now int64, line uint64, pc int, hit bool) []uint64
+	// OnAccess observes a demand access, appends the line addresses to
+	// prefetch into the observing cache to dst, and returns the extended
+	// slice (the cache passes a reused scratch buffer).
+	OnAccess(now int64, line uint64, pc int, hit bool, dst []uint64) []uint64
 }
 
 // CacheConfig sizes one cache level.
@@ -76,17 +78,26 @@ type wayEntry struct {
 	prefetched bool
 }
 
+// mshr is one slot of the dense MSHR table. Slots are recycled: valid
+// marks an allocated one, and dones keeps its capacity across occupants.
 type mshr struct {
 	line   uint64
 	write  bool
-	dones  []func(int64)
+	dones  []completion
+	valid  bool
 	issued bool
 	demand bool
 }
 
+// completion is a requester's (Completer, tag) pair, notified once.
+type completion struct {
+	done Completer
+	tag  uint64
+}
+
 type timedDone struct {
 	at int64
-	fn func(int64)
+	completion
 }
 
 // Cache is one set-associative write-back, write-allocate cache level.
@@ -96,11 +107,18 @@ type Cache struct {
 	upper *Cache // next level toward the core, for back-invalidation
 	pf    Prefetcher
 
-	sets     [][]wayEntry
-	numSets  uint64
-	mshrs    map[uint64]*mshr
-	wbQueue  []*Req
-	pfQueue  []uint64
+	sets    [][]wayEntry
+	numSets uint64
+	// mshrs is the dense table of cfg.MSHRs slots; a fill request's tag is
+	// its slot index. unissued lists the slots whose fill the lower level
+	// has not accepted yet, in allocation order — the order Tick retries
+	// them in.
+	mshrs    []mshr
+	mshrUsed int
+	unissued []int
+	wbQueue  ring.Queue[Req]
+	pfQueue  ring.Queue[uint64]
+	pfBuf    []uint64 // prefetcher scratch, reused per access
 	pending  []timedDone
 	accepted int
 	lastTick int64
@@ -115,20 +133,29 @@ func NewCache(cfg CacheConfig, lower Port) *Cache {
 	if numSets < 1 {
 		numSets = 1
 	}
+	ways := make([]wayEntry, numSets*cfg.Ways)
 	sets := make([][]wayEntry, numSets)
 	for i := range sets {
-		sets[i] = make([]wayEntry, cfg.Ways)
+		sets[i] = ways[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	if cfg.PrefetchQueue == 0 {
 		cfg.PrefetchQueue = 16
 	}
-	return &Cache{
-		cfg:     cfg,
-		lower:   lower,
-		sets:    sets,
-		numSets: uint64(numSets),
-		mshrs:   make(map[uint64]*mshr),
+	c := &Cache{
+		cfg:      cfg,
+		lower:    lower,
+		sets:     sets,
+		numSets:  uint64(numSets),
+		mshrs:    make([]mshr, cfg.MSHRs),
+		unissued: make([]int, 0, cfg.MSHRs),
+		pfQueue:  ring.New[uint64](cfg.PrefetchQueue),
+		pending:  make([]timedDone, 0, 64),
+		pfBuf:    make([]uint64, 0, 8),
 	}
+	for i := range c.mshrs {
+		c.mshrs[i].dones = make([]completion, 0, 8)
+	}
+	return c
 }
 
 // SetUpper links the cache level closer to the core (for back-invalidation
@@ -167,7 +194,7 @@ func (c *Cache) StateOf(line uint64) LineState {
 }
 
 // Access implements Port.
-func (c *Cache) Access(now int64, r *Req) bool {
+func (c *Cache) Access(now int64, r Req) bool {
 	c.activity++ // every outcome mutates: an allocation, a hit update, or a reject tally
 	if now != c.lastTick {
 		// Defensive: budget is normally reset in Tick; handle out-of-order
@@ -206,14 +233,15 @@ func (c *Cache) Access(now int64, r *Req) bool {
 			e.state = Modified
 		}
 		if r.Done != nil {
-			c.schedule(now+int64(c.cfg.HitLatency), r.Done)
+			c.schedule(now+int64(c.cfg.HitLatency), completion{r.Done, r.Tag})
 		}
 		c.observe(now, line, r.PC, true)
 		return true
 	}
 
 	// Miss: merge into an existing MSHR if one is outstanding.
-	if ms, ok := c.mshrs[line]; ok {
+	if slot := c.mshrFor(line); slot >= 0 {
+		ms := &c.mshrs[slot]
 		c.accepted++
 		c.Stats.Hits++ // secondary miss, already in flight
 		if r.Write {
@@ -223,63 +251,97 @@ func (c *Cache) Access(now int64, r *Req) bool {
 			ms.demand = true
 		}
 		if r.Done != nil {
-			ms.dones = append(ms.dones, r.Done)
+			ms.dones = append(ms.dones, completion{r.Done, r.Tag})
 		}
 		c.observe(now, line, r.PC, false)
 		return true
 	}
-	if len(c.mshrs) >= c.cfg.MSHRs {
+	if c.mshrUsed >= c.cfg.MSHRs {
 		c.Stats.Rejects++
 		return false
 	}
 	c.accepted++
 	c.Stats.Misses++
-	ms := &mshr{line: line, write: r.Write, demand: !r.Prefetch}
+	slot := c.allocMSHR(line, r.Write, !r.Prefetch)
 	if r.Done != nil {
-		ms.dones = append(ms.dones, r.Done)
+		c.mshrs[slot].dones = append(c.mshrs[slot].dones, completion{r.Done, r.Tag})
 	}
-	c.mshrs[line] = ms
-	c.issueFill(now, ms)
+	if !c.issueFill(now, slot) {
+		c.unissued = append(c.unissued, slot)
+	}
 	c.observe(now, line, r.PC, false)
 	return true
+}
+
+// mshrFor returns the slot of the outstanding MSHR for line, or -1.
+func (c *Cache) mshrFor(line uint64) int {
+	for i := range c.mshrs {
+		if c.mshrs[i].valid && c.mshrs[i].line == line {
+			return i
+		}
+	}
+	return -1
+}
+
+// allocMSHR claims a free slot (the caller checked mshrUsed) for a fill
+// of line.
+func (c *Cache) allocMSHR(line uint64, write, demand bool) int {
+	for i := range c.mshrs {
+		ms := &c.mshrs[i]
+		if ms.valid {
+			continue
+		}
+		ms.line, ms.write, ms.demand = line, write, demand
+		ms.valid, ms.issued = true, false
+		ms.dones = ms.dones[:0]
+		c.mshrUsed++
+		return i
+	}
+	panic("mem: MSHR table full")
+}
+
+func (c *Cache) freeMSHR(slot int) {
+	c.mshrs[slot].valid = false
+	c.mshrUsed--
 }
 
 func (c *Cache) observe(now int64, line uint64, pc int, hit bool) {
 	if c.pf == nil {
 		return
 	}
-	for _, l := range c.pf.OnAccess(now, line, pc, hit) {
-		if len(c.pfQueue) >= c.cfg.PrefetchQueue {
+	c.pfBuf = c.pf.OnAccess(now, line, pc, hit, c.pfBuf[:0])
+	for _, l := range c.pfBuf {
+		if c.pfQueue.Len() >= c.cfg.PrefetchQueue {
 			break
 		}
 		l &= arch.LineMask
-		if c.lookup(l) != nil {
+		if c.lookup(l) != nil || c.mshrFor(l) >= 0 {
 			continue
 		}
-		if _, inflight := c.mshrs[l]; inflight {
-			continue
-		}
-		c.pfQueue = append(c.pfQueue, l)
+		c.pfQueue.Push(l)
 	}
 }
 
-func (c *Cache) issueFill(now int64, ms *mshr) {
-	if ms.issued {
-		return
-	}
-	fill := &Req{Line: ms.line, Done: func(done int64) { c.fill(done, ms.line) }}
-	if c.lower.Access(now, fill) {
+// issueFill offers the slot's fill to the lower level and reports whether
+// it was accepted.
+func (c *Cache) issueFill(now int64, slot int) bool {
+	ms := &c.mshrs[slot]
+	if c.lower.Access(now, Req{Line: ms.line, Done: c, Tag: uint64(slot)}) {
 		ms.issued = true
 	}
+	return ms.issued
 }
 
+// Complete implements Completer for this level's own fill requests: the
+// tag is the MSHR slot. A slot is freed only by its fill, so no fill
+// completion can outlive the occupant it names.
+func (c *Cache) Complete(now int64, tag uint64) { c.fill(now, int(tag)) }
+
 // fill installs a line when the lower level responds.
-func (c *Cache) fill(now int64, line uint64) {
-	ms, ok := c.mshrs[line]
-	if !ok {
-		return
-	}
-	delete(c.mshrs, line)
+func (c *Cache) fill(now int64, slot int) {
+	ms := &c.mshrs[slot]
+	line := ms.line
+	c.freeMSHR(slot)
 	set := c.setOf(line)
 	victim := &set[0]
 	for i := range set {
@@ -305,6 +367,7 @@ func (c *Cache) fill(now int64, line uint64) {
 	} else {
 		victim.state = Exclusive
 	}
+	// Nothing above allocates an MSHR, so the freed slot still holds them.
 	for _, done := range ms.dones {
 		c.schedule(now+int64(c.cfg.HitLatency), done)
 	}
@@ -314,9 +377,9 @@ func (c *Cache) evict(now int64, e *wayEntry) {
 	c.Stats.Evictions++
 	if e.state.Dirty() {
 		c.Stats.Writebacks++
-		wb := &Req{Line: e.tag, Write: true}
+		wb := Req{Line: e.tag, Write: true}
 		if !c.lower.Access(now, wb) {
-			c.wbQueue = append(c.wbQueue, wb)
+			c.wbQueue.Push(wb)
 		}
 	}
 	if c.upper != nil {
@@ -337,9 +400,9 @@ func (c *Cache) Invalidate(now int64, line uint64) {
 	c.Stats.Invalidations++
 	if e.state.Dirty() {
 		c.Stats.Writebacks++
-		wb := &Req{Line: e.tag, Write: true, MinLevel: arch.LevelMem}
+		wb := Req{Line: e.tag, Write: true, MinLevel: arch.LevelMem}
 		if !c.lower.Access(now, wb) {
-			c.wbQueue = append(c.wbQueue, wb)
+			c.wbQueue.Push(wb)
 		}
 	}
 	if c.upper != nil {
@@ -370,8 +433,8 @@ func (c *Cache) Snoop(now int64, line uint64, write bool) LineState {
 	return e.state
 }
 
-func (c *Cache) schedule(at int64, fn func(int64)) {
-	c.pending = append(c.pending, timedDone{at: at, fn: fn})
+func (c *Cache) schedule(at int64, done completion) {
+	c.pending = append(c.pending, timedDone{at: at, completion: done})
 }
 
 // Tick implements Port.
@@ -379,59 +442,55 @@ func (c *Cache) Tick(now int64) {
 	c.accepted = 0
 	c.lastTick = now
 
-	// Retry unissued fills and queued writebacks.
-	for _, ms := range c.mshrs {
-		if !ms.issued {
-			c.activity++ // issue, or the lower level's reject tally
-			c.issueFill(now, ms)
+	// Retry unissued fills, in allocation order, and queued writebacks.
+	kept := c.unissued[:0]
+	for _, slot := range c.unissued {
+		c.activity++ // issue, or the lower level's reject tally
+		if !c.issueFill(now, slot) {
+			kept = append(kept, slot)
 		}
 	}
-	for len(c.wbQueue) > 0 {
+	c.unissued = kept
+	for c.wbQueue.Len() > 0 {
 		c.activity++
-		if !c.lower.Access(now, c.wbQueue[0]) {
+		if !c.lower.Access(now, *c.wbQueue.Front()) {
 			break
 		}
-		c.wbQueue = c.wbQueue[1:]
+		c.wbQueue.PopFront()
 	}
 	// Issue queued prefetches with leftover capacity.
-	for len(c.pfQueue) > 0 && c.accepted < c.cfg.AcceptsPerCycle && len(c.mshrs) < c.cfg.MSHRs {
+	for c.pfQueue.Len() > 0 && c.accepted < c.cfg.AcceptsPerCycle && c.mshrUsed < c.cfg.MSHRs {
 		c.activity++
-		line := c.pfQueue[0]
-		if c.lookup(line) != nil {
-			c.pfQueue = c.pfQueue[1:]
+		line := *c.pfQueue.Front()
+		if c.lookup(line) != nil || c.mshrFor(line) >= 0 {
+			c.pfQueue.PopFront()
 			continue
 		}
-		if _, inflight := c.mshrs[line]; inflight {
-			c.pfQueue = c.pfQueue[1:]
-			continue
-		}
-		ms := &mshr{line: line}
-		c.mshrs[line] = ms
-		c.issueFill(now, ms)
-		if !ms.issued {
-			delete(c.mshrs, line)
+		slot := c.allocMSHR(line, false, false)
+		if !c.issueFill(now, slot) {
+			c.freeMSHR(slot)
 			break
 		}
 		c.Stats.PrefetchIssued++
 		c.accepted++
-		c.pfQueue = c.pfQueue[1:]
+		c.pfQueue.PopFront()
 	}
 	// Fire matured completions.
-	kept := c.pending[:0]
+	pend := c.pending[:0]
 	for _, p := range c.pending {
 		if p.at <= now {
 			c.activity++
-			p.fn(now)
+			p.done.Complete(now, p.tag)
 		} else {
-			kept = append(kept, p)
+			pend = append(pend, p)
 		}
 	}
-	c.pending = kept
+	c.pending = pend
 }
 
 // PendingOps reports outstanding internal work (for drain detection).
 func (c *Cache) PendingOps() int {
-	return len(c.mshrs) + len(c.wbQueue) + len(c.pending)
+	return c.mshrUsed + c.wbQueue.Len() + len(c.pending)
 }
 
 // NextEventAt returns a lower bound on the cycle of this cache's next state
@@ -442,12 +501,7 @@ func (c *Cache) PendingOps() int {
 // the cache is fully quiescent. The event-driven scheduler may advance time
 // directly to the minimum such bound; Ticks before it are provable no-ops.
 func (c *Cache) NextEventAt(now int64) int64 {
-	for _, ms := range c.mshrs {
-		if !ms.issued {
-			return now + 1
-		}
-	}
-	if len(c.wbQueue) > 0 || len(c.pfQueue) > 0 {
+	if len(c.unissued) > 0 || c.wbQueue.Len() > 0 || c.pfQueue.Len() > 0 {
 		return now + 1
 	}
 	next := int64(NoEvent)

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"container/list"
 	"fmt"
 
 	"repro/internal/arch"
@@ -47,12 +46,12 @@ type DRAM struct {
 }
 
 type dramChannel struct {
-	queue  *list.List // of *dramReq
-	freeAt int64      // cycle the data bus becomes free
+	queue  []dramReq // arrival order; capacity QueueDepth, never regrown
+	freeAt int64     // cycle the data bus becomes free
 }
 
 type dramReq struct {
-	req     *Req
+	req     Req
 	doneAt  int64
 	started bool
 }
@@ -61,7 +60,7 @@ type dramReq struct {
 func NewDRAM(cfg DRAMConfig) *DRAM {
 	d := &DRAM{cfg: cfg, chans: make([]dramChannel, cfg.Channels)}
 	for i := range d.chans {
-		d.chans[i].queue = list.New()
+		d.chans[i].queue = make([]dramReq, 0, cfg.QueueDepth)
 	}
 	return d
 }
@@ -71,14 +70,14 @@ func (d *DRAM) channelOf(line uint64) int {
 }
 
 // Access implements Port.
-func (d *DRAM) Access(now int64, r *Req) bool {
+func (d *DRAM) Access(now int64, r Req) bool {
 	d.activity++ // enqueue, or the queue-full tally
 	ch := &d.chans[d.channelOf(r.Line)]
-	if ch.queue.Len() >= d.cfg.QueueDepth {
+	if len(ch.queue) >= d.cfg.QueueDepth {
 		d.Stats.QueueFullStalls++
 		return false
 	}
-	ch.queue.PushBack(&dramReq{req: r})
+	ch.queue = append(ch.queue, dramReq{req: r})
 	return true
 }
 
@@ -89,8 +88,8 @@ func (d *DRAM) Tick(now int64) {
 	for i := range d.chans {
 		ch := &d.chans[i]
 		// Start the oldest unstarted request if the bus is free.
-		for e := ch.queue.Front(); e != nil; e = e.Next() {
-			dr := e.Value.(*dramReq)
+		for j := range ch.queue {
+			dr := &ch.queue[j]
 			if dr.started {
 				continue
 			}
@@ -115,18 +114,20 @@ func (d *DRAM) Tick(now int64) {
 			}
 			break
 		}
-		// Retire finished requests.
-		for e := ch.queue.Front(); e != nil; {
-			next := e.Next()
-			dr := e.Value.(*dramReq)
-			if dr.started && dr.doneAt <= now {
-				d.activity++
-				ch.queue.Remove(e)
-				if dr.req.Done != nil {
-					dr.req.Done(now)
-				}
+		// Retire finished requests. A completion may enqueue new requests
+		// (a fill's dirty victim); they land at the back unstarted, so the
+		// scan passes over them.
+		for j := 0; j < len(ch.queue); {
+			dr := ch.queue[j]
+			if !dr.started || dr.doneAt > now {
+				j++
+				continue
 			}
-			e = next
+			d.activity++
+			ch.queue = append(ch.queue[:j], ch.queue[j+1:]...)
+			if dr.req.Done != nil {
+				dr.req.Done.Complete(now, dr.req.Tag)
+			}
 		}
 	}
 }
@@ -151,7 +152,7 @@ func (d *DRAM) Utilization(cycles int64) float64 {
 func (d *DRAM) Pending() int {
 	n := 0
 	for i := range d.chans {
-		n += d.chans[i].queue.Len()
+		n += len(d.chans[i].queue)
 	}
 	return n
 }

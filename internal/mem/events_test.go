@@ -49,14 +49,14 @@ func TestNextEventAtDeadWindowsAreNoOps(t *testing.T) {
 			const base = 0x40_0000
 			type job struct {
 				at  int64
-				req *Req
+				req Req
 			}
 			done := 0
 			var jobs []job
 			mk := func(at int64, line uint64, write bool, lvl arch.CacheLevel) {
-				jobs = append(jobs, job{at, &Req{
+				jobs = append(jobs, job{at, Req{
 					Line: line, Write: write, MinLevel: lvl,
-					Done: func(int64) { done++ },
+					Done: doneFunc(func(int64) { done++ }),
 				}})
 			}
 			for i := 0; i < 24; i++ {

@@ -80,10 +80,10 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 
 // Access submits a demand request at the L1 (requests with MinLevel above L1
 // flow through without allocating, as stream requests do).
-func (h *Hierarchy) Access(now int64, r *Req) bool { return h.L1D.Access(now, r) }
+func (h *Hierarchy) Access(now int64, r Req) bool { return h.L1D.Access(now, r) }
 
 // FetchInst submits an instruction-fetch line request to the L1-I.
-func (h *Hierarchy) FetchInst(now int64, r *Req) bool { return h.L1I.Access(now, r) }
+func (h *Hierarchy) FetchInst(now int64, r Req) bool { return h.L1I.Access(now, r) }
 
 // Tick advances all levels one cycle. DRAM ticks first so responses climb
 // at most one level per cycle.

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
+	"repro/internal/ring"
 )
 
 // Memory is the functional backing store. Addresses are identity-mapped
@@ -172,10 +173,9 @@ func (m *Memory) WriteFloat(addr uint64, w arch.ElemWidth, f float64) {
 // pages fault. A small fully-associative buffer caches translations, and
 // misses cost a fixed page-walk penalty charged to the requesting access.
 type TLB struct {
-	mem     *Memory
-	entries map[uint64]bool // cached page numbers
-	order   []uint64        // FIFO replacement
-	size    int
+	mem   *Memory
+	pages ring.Queue[uint64] // cached page numbers, oldest first (FIFO replacement)
+	size  int
 
 	WalkPenalty int // cycles added on a TLB miss
 
@@ -191,7 +191,7 @@ type TLB struct {
 
 // NewTLB builds a TLB of the given entry count over m's page table.
 func NewTLB(m *Memory, size int) *TLB {
-	return &TLB{mem: m, entries: make(map[uint64]bool), size: size, WalkPenalty: 20}
+	return &TLB{mem: m, pages: ring.New[uint64](size), size: size, WalkPenalty: 20}
 }
 
 // Translate resolves addr. It returns the extra latency in cycles (0 on a
@@ -204,31 +204,30 @@ func (t *TLB) Translate(addr uint64) (extraLat int, fault bool) {
 		return t.WalkPenalty, true
 	}
 	page := addr / arch.PageSize
-	if t.entries[page] {
-		t.Hits++
-		return 0, false
+	// Newest first: consecutive accesses mostly stay on recent pages.
+	for i := t.pages.Len() - 1; i >= 0; i-- {
+		if *t.pages.At(i) == page {
+			t.Hits++
+			return 0, false
+		}
 	}
 	t.Misses++
 	if !t.mem.Mapped(addr) {
 		t.Faults++
 		return t.WalkPenalty, true
 	}
-	if len(t.order) >= t.size {
-		oldest := t.order[0]
-		t.order = t.order[1:]
-		delete(t.entries, oldest)
+	if t.pages.Len() >= t.size {
+		t.pages.PopFront()
 	}
-	t.entries[page] = true
-	t.order = append(t.order, page)
+	t.pages.Push(page)
 	return t.WalkPenalty, false
 }
 
 // Flush empties the TLB (context switches, new mappings).
 func (t *TLB) Flush() {
-	t.entries = make(map[uint64]bool)
-	t.order = nil
+	t.pages.Clear()
 }
 
 func (t *TLB) String() string {
-	return fmt.Sprintf("TLB{%d entries, %d hits, %d misses, %d faults}", len(t.entries), t.Hits, t.Misses, t.Faults)
+	return fmt.Sprintf("TLB{%d entries, %d hits, %d misses, %d faults}", t.pages.Len(), t.Hits, t.Misses, t.Faults)
 }

@@ -127,7 +127,7 @@ func TestDRAMLatencyAndBandwidth(t *testing.T) {
 	d := NewDRAM(DRAMConfig{Channels: 1, AccessLatency: 50, LineService: 8, QueueDepth: 8})
 	var doneAt []int64
 	for i := 0; i < 3; i++ {
-		r := &Req{Line: uint64(i * 2 * arch.LineSize), Done: func(now int64) { doneAt = append(doneAt, now) }}
+		r := Req{Line: uint64(i * 2 * arch.LineSize), Done: doneFunc(func(now int64) { doneAt = append(doneAt, now) })}
 		if !d.Access(0, r) {
 			t.Fatal("access rejected")
 		}
@@ -146,7 +146,7 @@ func TestDRAMChannelsInterleave(t *testing.T) {
 	d := NewDRAM(DRAMConfig{Channels: 2, AccessLatency: 50, LineService: 8, QueueDepth: 8})
 	var doneAt []int64
 	for i := 0; i < 2; i++ {
-		r := &Req{Line: uint64(i * arch.LineSize), Done: func(now int64) { doneAt = append(doneAt, now) }}
+		r := Req{Line: uint64(i * arch.LineSize), Done: doneFunc(func(now int64) { doneAt = append(doneAt, now) })}
 		d.Access(0, r)
 	}
 	runUntil(t, d, 1, 200, func() bool { return len(doneAt) == 2 })
@@ -157,10 +157,10 @@ func TestDRAMChannelsInterleave(t *testing.T) {
 
 func TestDRAMQueueFull(t *testing.T) {
 	d := NewDRAM(DRAMConfig{Channels: 1, AccessLatency: 50, LineService: 8, QueueDepth: 2})
-	if !d.Access(0, &Req{Line: 0}) || !d.Access(0, &Req{Line: 64}) {
+	if !d.Access(0, Req{Line: 0}) || !d.Access(0, Req{Line: 64}) {
 		t.Fatal("first two must be accepted")
 	}
-	if d.Access(0, &Req{Line: 128}) {
+	if d.Access(0, Req{Line: 128}) {
 		t.Fatal("queue overflow accepted")
 	}
 	if d.Stats.QueueFullStalls != 1 {
@@ -172,7 +172,7 @@ func TestDRAMUtilization(t *testing.T) {
 	d := NewDRAM(DRAMConfig{Channels: 2, AccessLatency: 10, LineService: 8, QueueDepth: 32})
 	n := 0
 	for i := 0; i < 16; i++ {
-		d.Access(0, &Req{Line: uint64(i * arch.LineSize), Done: func(int64) { n++ }})
+		d.Access(0, Req{Line: uint64(i * arch.LineSize), Done: doneFunc(func(int64) { n++ })})
 	}
 	end := runUntil(t, d, 1, 500, func() bool { return n == 16 })
 	u := d.Utilization(end)
@@ -186,10 +186,10 @@ type instantPort struct {
 	seen []uint64
 }
 
-func (p *instantPort) Access(now int64, r *Req) bool {
+func (p *instantPort) Access(now int64, r Req) bool {
 	p.seen = append(p.seen, r.Line)
 	if r.Done != nil {
-		r.Done(now)
+		r.Done.Complete(now, r.Tag)
 	}
 	return true
 }
@@ -209,7 +209,7 @@ func TestCacheHitAfterFill(t *testing.T) {
 	c := NewCache(testCacheCfg(4, 2, 3), lower)
 	var missDone, hitDone int64
 	c.Tick(0)
-	if !c.Access(0, &Req{Line: 0x1000, Done: func(n int64) { missDone = n }}) {
+	if !c.Access(0, Req{Line: 0x1000, Done: doneFunc(func(n int64) { missDone = n })}) {
 		t.Fatal("rejected")
 	}
 	runUntil(t, c, 1, 50, func() bool { return missDone != 0 })
@@ -221,7 +221,7 @@ func TestCacheHitAfterFill(t *testing.T) {
 	}
 	start := missDone + 1
 	c.Tick(start)
-	if !c.Access(start, &Req{Line: 0x1000, Done: func(n int64) { hitDone = n }}) {
+	if !c.Access(start, Req{Line: 0x1000, Done: doneFunc(func(n int64) { hitDone = n })}) {
 		t.Fatal("hit rejected")
 	}
 	runUntil(t, c, start+1, 10, func() bool { return hitDone != 0 })
@@ -234,7 +234,7 @@ func TestCacheWriteMakesModified(t *testing.T) {
 	c := NewCache(testCacheCfg(4, 2, 1), &instantPort{})
 	done := false
 	c.Tick(0)
-	c.Access(0, &Req{Line: 0x40, Write: true, Done: func(int64) { done = true }})
+	c.Access(0, Req{Line: 0x40, Write: true, Done: doneFunc(func(int64) { done = true })})
 	runUntil(t, c, 1, 20, func() bool { return done })
 	if c.StateOf(0x40) != Modified {
 		t.Fatalf("state %v, want M", c.StateOf(0x40))
@@ -246,8 +246,8 @@ func TestCacheMSHRMerge(t *testing.T) {
 	c := NewCache(testCacheCfg(4, 2, 1), lower)
 	count := 0
 	c.Tick(0)
-	c.Access(0, &Req{Line: 0x80, Done: func(int64) { count++ }})
-	c.Access(0, &Req{Line: 0x80, Done: func(int64) { count++ }})
+	c.Access(0, Req{Line: 0x80, Done: doneFunc(func(int64) { count++ })})
+	c.Access(0, Req{Line: 0x80, Done: doneFunc(func(int64) { count++ })})
 	runUntil(t, c, 1, 20, func() bool { return count == 2 })
 	if len(lower.seen) != 1 {
 		t.Fatalf("lower saw %d fills, want 1 (merged)", len(lower.seen))
@@ -262,19 +262,19 @@ func TestCacheMSHRFullRejects(t *testing.T) {
 	c := NewCache(testCacheCfg(4, 2, 1), &blackholePort{})
 	c.Tick(0)
 	for i := 0; i < 4; i++ {
-		if !c.Access(0, &Req{Line: uint64(i) * arch.LineSize}) {
+		if !c.Access(0, Req{Line: uint64(i) * arch.LineSize}) {
 			t.Fatalf("access %d rejected early", i)
 		}
 	}
-	if c.Access(0, &Req{Line: 5 * arch.LineSize}) {
+	if c.Access(0, Req{Line: 5 * arch.LineSize}) {
 		t.Fatal("access beyond MSHR capacity accepted")
 	}
 }
 
 type blackholePort struct{}
 
-func (blackholePort) Access(int64, *Req) bool { return true }
-func (blackholePort) Tick(int64)              {}
+func (blackholePort) Access(int64, Req) bool { return true }
+func (blackholePort) Tick(int64)             {}
 
 func TestCacheEvictionWritesBack(t *testing.T) {
 	lower := &instantPort{}
@@ -284,12 +284,12 @@ func TestCacheEvictionWritesBack(t *testing.T) {
 	c := NewCache(cfg, lower)
 	done := 0
 	c.Tick(0)
-	c.Access(0, &Req{Line: 0x000, Write: true, Done: func(int64) { done++ }})
+	c.Access(0, Req{Line: 0x000, Write: true, Done: doneFunc(func(int64) { done++ })})
 	runUntil(t, c, 1, 20, func() bool { return done == 1 })
 	// Same set (stride = 128B): evicts the dirty line.
 	now := int64(10)
 	c.Tick(now)
-	c.Access(now, &Req{Line: 0x100, Done: func(int64) { done++ }})
+	c.Access(now, Req{Line: 0x100, Done: doneFunc(func(int64) { done++ })})
 	runUntil(t, c, now+1, 20, func() bool { return done == 2 })
 	if c.Stats.Writebacks != 1 {
 		t.Fatalf("writebacks=%d, want 1", c.Stats.Writebacks)
@@ -317,7 +317,7 @@ func TestCacheLRU(t *testing.T) {
 	fill := func(now int64, line uint64) int64 {
 		ok := false
 		c.Tick(now)
-		c.Access(now, &Req{Line: line, Done: func(int64) { ok = true }})
+		c.Access(now, Req{Line: line, Done: doneFunc(func(int64) { ok = true })})
 		return runUntil(t, c, now+1, 30, func() bool { return ok })
 	}
 	now := fill(0, 0x000)
@@ -336,7 +336,7 @@ func TestCacheBypassForwards(t *testing.T) {
 	c := NewCache(testCacheCfg(4, 2, 1), lower)
 	done := false
 	c.Tick(0)
-	c.Access(0, &Req{Line: 0x200, MinLevel: arch.LevelL2, Done: func(int64) { done = true }})
+	c.Access(0, Req{Line: 0x200, MinLevel: arch.LevelL2, Done: doneFunc(func(int64) { done = true })})
 	lower.Tick(1)
 	if !done {
 		t.Fatal("bypass request not forwarded")
@@ -354,7 +354,7 @@ func TestCacheSnoopMOESI(t *testing.T) {
 	fill := func(line uint64, write bool) {
 		ok := false
 		c.Tick(0)
-		c.Access(0, &Req{Line: line, Write: write, Done: func(int64) { ok = true }})
+		c.Access(0, Req{Line: line, Write: write, Done: doneFunc(func(int64) { ok = true })})
 		runUntil(t, c, 1, 20, func() bool { return ok })
 	}
 	fill(0x000, false) // E
@@ -392,7 +392,7 @@ func TestBackInvalidation(t *testing.T) {
 	var cycle int64
 	load := func(line uint64) {
 		done = false
-		h.Access(cycle, &Req{Line: line, Done: func(int64) { done = true }})
+		h.Access(cycle, Req{Line: line, Done: doneFunc(func(int64) { done = true })})
 		for !done {
 			cycle++
 			h.Tick(cycle)
@@ -429,7 +429,7 @@ func TestStridePrefetcherDetects(t *testing.T) {
 	var got []uint64
 	// Same PC, stride of 2 lines.
 	for i := 0; i < 6; i++ {
-		got = p.OnAccess(int64(i), uint64(i*2*arch.LineSize), 42, false)
+		got = p.OnAccess(int64(i), uint64(i*2*arch.LineSize), 42, false, nil)
 	}
 	if len(got) == 0 {
 		t.Fatal("no prefetches after confident stride")
@@ -440,7 +440,7 @@ func TestStridePrefetcherDetects(t *testing.T) {
 		}
 	}
 	// A different PC must not be confident yet.
-	if out := p.OnAccess(10, 0x100000, 43, false); out != nil {
+	if out := p.OnAccess(10, 0x100000, 43, false, nil); out != nil {
 		t.Fatal("fresh PC should not prefetch")
 	}
 }
@@ -448,9 +448,9 @@ func TestStridePrefetcherDetects(t *testing.T) {
 func TestStridePrefetcherResetsOnStrideChange(t *testing.T) {
 	p := NewStridePrefetcher(16)
 	for i := 0; i < 4; i++ {
-		p.OnAccess(int64(i), uint64(i*arch.LineSize), 1, false)
+		p.OnAccess(int64(i), uint64(i*arch.LineSize), 1, false, nil)
 	}
-	if got := p.OnAccess(5, 0x800000, 1, false); got != nil {
+	if got := p.OnAccess(5, 0x800000, 1, false, nil); got != nil {
 		t.Fatal("stride break must reset confidence")
 	}
 }
@@ -460,7 +460,7 @@ func TestAMPMPrefetcher(t *testing.T) {
 	base := uint64(1 << 20)
 	var got []uint64
 	for i := 0; i < 4; i++ {
-		got = p.OnAccess(int64(i), base+uint64(i*arch.LineSize), 0, false)
+		got = p.OnAccess(int64(i), base+uint64(i*arch.LineSize), 0, false, nil)
 	}
 	found := false
 	for _, l := range got {
@@ -484,7 +484,7 @@ func TestAMPMNegativeStride(t *testing.T) {
 	base := uint64(1 << 21)
 	var got []uint64
 	for i := 10; i >= 7; i-- {
-		got = p.OnAccess(0, base+uint64(i*arch.LineSize), 0, false)
+		got = p.OnAccess(0, base+uint64(i*arch.LineSize), 0, false, nil)
 	}
 	found := false
 	for _, l := range got {
@@ -505,7 +505,7 @@ func TestHierarchyPrefetchingHelpsSequential(t *testing.T) {
 		var cycle int64
 		for i := 0; i < 256; i++ {
 			done := false
-			req := &Req{Line: uint64(i * arch.LineSize), PC: 7, Done: func(int64) { done = true }}
+			req := Req{Line: uint64(i * arch.LineSize), PC: 7, Done: doneFunc(func(int64) { done = true })}
 			for !h.Access(cycle, req) {
 				cycle++
 				h.Tick(cycle)
@@ -536,7 +536,7 @@ func TestHierarchyQuiesce(t *testing.T) {
 		t.Fatal("fresh hierarchy must be quiescent")
 	}
 	done := false
-	h.Access(0, &Req{Line: 0x40, Done: func(int64) { done = true }})
+	h.Access(0, Req{Line: 0x40, Done: doneFunc(func(int64) { done = true })})
 	if h.Quiesce() {
 		t.Fatal("in-flight request must block quiescence")
 	}
@@ -546,6 +546,69 @@ func TestHierarchyQuiesce(t *testing.T) {
 		h.Tick(cycle)
 		if cycle > 100000 {
 			t.Fatal("never quiesced")
+		}
+	}
+}
+
+// doneFunc adapts a closure to Completer (tests only: the simulator's
+// requesters complete through long-lived handlers and tags).
+type doneFunc func(now int64)
+
+func (f doneFunc) Complete(now int64, _ uint64) { f(now) }
+
+// onePerCycle is a lower-level port that rejects everything before open
+// and then accepts one request per cycle, recording the order.
+type onePerCycle struct {
+	open     int64
+	lastTick int64
+	used     bool
+	got      []uint64
+}
+
+func (p *onePerCycle) Access(now int64, r Req) bool {
+	if now != p.lastTick {
+		p.lastTick, p.used = now, false
+	}
+	if now < p.open || p.used {
+		return false
+	}
+	p.used = true
+	p.got = append(p.got, r.Line)
+	return true
+}
+
+func (p *onePerCycle) Tick(int64) {}
+
+// TestCacheRetriesFillsInAllocationOrder pins the retry order of fills the
+// lower level rejected: when it accepts only some of them in a cycle, the
+// oldest MSHR goes first. (Retrying by ranging a map let Go's randomized
+// iteration order pick.) Lines are neither sorted nor slot-ordered, and
+// two merges make sure a secondary miss does not disturb the order.
+func TestCacheRetriesFillsInAllocationOrder(t *testing.T) {
+	want := []uint64{0x7000, 0x1000, 0x5000, 0x3000}
+	for run := 0; run < 50; run++ {
+		lower := &onePerCycle{open: 2, lastTick: -1}
+		c := NewCache(CacheConfig{
+			Name: "T", Level: arch.LevelL1, SizeBytes: 4096, Ways: 4,
+			HitLatency: 1, MSHRs: 4, AcceptsPerCycle: 8,
+		}, lower)
+		for _, l := range want {
+			if !c.Access(0, Req{Line: l}) {
+				t.Fatalf("run %d: miss on %#x rejected", run, l)
+			}
+		}
+		c.Access(0, Req{Line: want[2]})
+		c.Access(0, Req{Line: want[0]})
+		for now := int64(1); now <= 8; now++ {
+			c.Tick(now)
+		}
+		if len(lower.got) != len(want) {
+			t.Fatalf("run %d: %d fills issued, want %d", run, len(lower.got), len(want))
+		}
+		for i := range want {
+			if lower.got[i] != want[i] {
+				t.Fatalf("run %d: fill order %#x, want %#x", run, lower.got, want)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import "repro/internal/arch"
 
 // Req is one line-granular timing request flowing through the hierarchy.
 // Functional data is not carried: it lives in the Memory backing store.
+// Requests travel by value, so issuing one allocates nothing.
 type Req struct {
 	// Line is the line-aligned byte address.
 	Line uint64
@@ -18,9 +19,19 @@ type Req struct {
 	Prefetch bool
 	// PC tags the requesting instruction for the stride prefetcher.
 	PC int
-	// Done, when non-nil, is invoked once the request completes (data
-	// available for loads, line owned for stores).
-	Done func(now int64)
+	// Done, when non-nil, is notified with Tag once the request completes
+	// (data available for loads, line owned for stores).
+	Done Completer
+	Tag  uint64
+}
+
+// Completer receives request completions. A requester keeps one
+// long-lived Completer and tells its requests apart by tag, so no
+// per-request callback is allocated. The tag is the requester's own: a
+// requester that recycles the state a tag names must recognize (and drop)
+// a completion that arrives after the recycling.
+type Completer interface {
+	Complete(now int64, tag uint64)
 }
 
 // Port is anything that accepts timing requests: a cache level or DRAM.
@@ -28,7 +39,7 @@ type Port interface {
 	// Access submits a request. It returns false when the component cannot
 	// accept it this cycle (ports busy, MSHRs or queues full); the caller
 	// must retry on a later cycle.
-	Access(now int64, r *Req) bool
+	Access(now int64, r Req) bool
 	// Tick advances internal state by one cycle.
 	Tick(now int64)
 }

@@ -1,16 +1,18 @@
 // Command perfcmp maintains BENCH_simwall.json, the simulator's wall-clock
-// trajectory file. It reads `go test -bench` output for BenchmarkSimWall on
-// stdin and either:
+// trajectory file. It reads `go test -bench -benchmem` output for
+// BenchmarkSimWall on stdin and either:
 //
 //	perfcmp -update BENCH_simwall.json   # rewrite the committed baseline
 //	perfcmp -baseline BENCH_simwall.json # gate: fail on >2x regression
 //
 // In -update mode it also records summary ratios over the cells, among
 // them the like-for-like functional-vs-cycle speedup (the same cells timed
-// on both tiers). In gate mode only the per-cell ns/op figures are
-// compared — the committed baseline's absolute numbers are from the
-// machine named in its "host" field, so the default threshold is a
-// deliberately loose 2x.
+// on both tiers). In gate mode only the per-cell figures are compared:
+// ns/op, and allocs/op where both runs recorded it. The committed
+// baseline's absolute times are from the machine named in its "host"
+// field, so the default threshold is a deliberately loose 2x; allocation
+// counts do not depend on the host, and the same 2x bound catches a
+// hot-loop allocation creeping back in.
 package main
 
 import (
@@ -29,6 +31,8 @@ type Cell struct {
 	Name    string  `json:"name"` // mode/kernel-variant, e.g. "skip/C-UVE"
 	NsPerOp float64 `json:"ns_per_op"`
 	Cycles  int64   `json:"cycles"` // simulated cycles (0 on the functional tier)
+	// AllocsPerOp is heap allocations per run (0 when not recorded).
+	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 // Baseline is the BENCH_simwall.json document.
@@ -50,12 +54,13 @@ type Baseline struct {
 }
 
 var benchLine = regexp.MustCompile(`^BenchmarkSimWall/(\S+?)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op(?:\s+(\d+(?:\.\d+)?) cycles)?`)
+var allocsField = regexp.MustCompile(`\s(\d+) allocs/op`)
 var cpuLine = regexp.MustCompile(`^cpu: (.+)$`)
 
 func main() {
 	update := flag.String("update", "", "rewrite this baseline file from the bench output on stdin")
 	baseline := flag.String("baseline", "", "gate the bench output on stdin against this baseline file")
-	maxRatio := flag.Float64("max-ratio", 2.0, "gate threshold: fail when current ns/op exceeds baseline*ratio")
+	maxRatio := flag.Float64("max-ratio", 2.0, "gate threshold: fail when current ns/op or allocs/op exceeds baseline*ratio")
 	flag.Parse()
 	if (*update == "") == (*baseline == "") {
 		fail("exactly one of -update or -baseline is required")
@@ -78,7 +83,11 @@ func main() {
 		if m[3] != "" {
 			cyc, _ = strconv.ParseFloat(m[3], 64)
 		}
-		cells = append(cells, Cell{Name: m[1], NsPerOp: ns, Cycles: int64(cyc)})
+		var allocs float64
+		if a := allocsField.FindStringSubmatch(sc.Text()); a != nil {
+			allocs, _ = strconv.ParseFloat(a[1], 64)
+		}
+		cells = append(cells, Cell{Name: m[1], NsPerOp: ns, Cycles: int64(cyc), AllocsPerOp: allocs})
 	}
 	if err := sc.Err(); err != nil {
 		fail("reading stdin: %v", err)
@@ -130,9 +139,19 @@ func gate(path string, cur []Cell, maxRatio float64) {
 		}
 		fmt.Printf("%-28s %12.0f ns/op  baseline %12.0f  ratio %.2fx  %s\n",
 			b.Name, c.NsPerOp, b.NsPerOp, ratio, status)
+		if b.AllocsPerOp > 0 && c.AllocsPerOp > 0 {
+			aratio := c.AllocsPerOp / b.AllocsPerOp
+			astatus := "ok"
+			if aratio > maxRatio {
+				astatus = "REGRESSION"
+				bad++
+			}
+			fmt.Printf("%-28s %12.0f allocs/op  baseline %9.0f  ratio %.2fx  %s\n",
+				b.Name, c.AllocsPerOp, b.AllocsPerOp, aratio, astatus)
+		}
 	}
 	if bad > 0 {
-		fail("%d cell(s) regressed past %.1fx (baseline host: %s)", bad, maxRatio, base.Host)
+		fail("%d cell figure(s) regressed past %.1fx (baseline host: %s)", bad, maxRatio, base.Host)
 	}
 }
 
@@ -140,8 +159,8 @@ func gate(path string, cur []Cell, maxRatio float64) {
 func writeBaseline(path, host string, cells []Cell) {
 	doc := Baseline{
 		Host:      host,
-		Benchmark: "BenchmarkSimWall (go test -run '^$' -bench '^BenchmarkSimWall$' -benchtime 3x .)",
-		Gate:      "scripts/perfsmoke.sh fails when any cell's ns/op exceeds 2x this baseline",
+		Benchmark: "BenchmarkSimWall (go test -run '^$' -bench '^BenchmarkSimWall$' -benchtime 3x -benchmem .)",
+		Gate:      "scripts/perfsmoke.sh fails when any cell's ns/op or allocs/op exceeds 2x this baseline",
 		Cells:     cells,
 	}
 	sum := func(pred func(Cell) bool) float64 {
