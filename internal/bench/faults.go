@@ -52,17 +52,12 @@ func (r *FaultRow) Slowdown() float64 {
 // the default plan as the campaign template (its seed is overridden per
 // grid point); Options.Watchdog tightens the forward-progress bound.
 func FaultCampaign(o *Options) []FaultRow {
-	type group struct {
-		k    *kernels.Kernel
-		v    kernels.Variant
-		size int
-	}
-	var groups []group
+	var groups []faultGroup
 	var jobs []Job
 	for _, k := range kernels.All {
 		size := SizeFor(k, o)
 		for _, v := range []kernels.Variant{kernels.UVE, kernels.SVE} {
-			groups = append(groups, group{k, v, size})
+			groups = append(groups, faultGroup{k, v, size})
 			base := sim.DefaultOptions(v)
 			base.HashMem = true
 			jobs = append(jobs, Job{Kernel: k, Variant: v, Size: size, Opts: &base})
@@ -83,16 +78,29 @@ func FaultCampaign(o *Options) []FaultRow {
 			}
 		}
 	}
-	// Job errors land in the affected rows, not a panic: a watchdog trip
-	// is a reportable campaign outcome.
-	rs, err := o.Runner().RunAll(jobs)
+	return campaignRows(o.Runner(), groups, jobs)
+}
 
+// faultGroup is one kernel × variant of the campaign. Its jobs are the
+// fault-free base run followed by one faulted run per faultSeeds entry.
+type faultGroup struct {
+	k    *kernels.Kernel
+	v    kernels.Variant
+	size int
+}
+
+// campaignRows runs the groups' jobs and builds one row per faulted run.
+// Job errors land in their own rows, not a panic: a watchdog trip is a
+// reportable campaign outcome.
+func campaignRows(r *Runner, groups []faultGroup, jobs []Job) []FaultRow {
+	rs, errs := r.runEach(jobs)
 	perGroup := 1 + len(faultSeeds)
 	var rows []FaultRow
 	for gi, g := range groups {
 		base := rs[gi*perGroup]
 		for si, seed := range faultSeeds {
-			r := rs[gi*perGroup+1+si]
+			ji := gi*perGroup + 1 + si
+			r := rs[ji]
 			row := FaultRow{
 				ID: g.k.ID, Name: g.k.Name, Variant: g.v, Size: g.size, Seed: seed,
 			}
@@ -105,8 +113,8 @@ func FaultCampaign(o *Options) []FaultRow {
 				row.StateOK = base != nil && r.MemHash == base.MemHash
 			} else {
 				row.Err = "simulation failed"
-				if err != nil {
-					row.Err = err.Error()
+				if errs[ji] != nil {
+					row.Err = errs[ji].Error()
 				}
 			}
 			rows = append(rows, row)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/fault"
 	"repro/internal/kernels"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -154,5 +156,39 @@ func TestFaultCampaignSmall(t *testing.T) {
 	}
 	if !strings.Contains(again, "state") {
 		t.Error("campaign table missing header")
+	}
+}
+
+// TestFaultCampaignRowsOwnErrors: each failed row reports its own job's
+// error, not the first failure of the campaign. The failing jobs are
+// builds that refuse with distinct messages, so nothing has to livelock.
+func TestFaultCampaignRowsOwnErrors(t *testing.T) {
+	failing := func(msg string) Job {
+		return Job{Key: msg, Variant: kernels.UVE, Build: func(*mem.Hierarchy) *kernels.Instance {
+			return &kernels.Instance{Err: errors.New(msg)}
+		}}
+	}
+	k := kernels.ByID("C")
+	ok := Job{Kernel: k, Variant: kernels.UVE, Size: 64}
+	groups := []faultGroup{{k, kernels.UVE, 64}, {k, kernels.UVE, 64}}
+	jobs := []Job{
+		ok, failing("first-a"), ok, failing("first-c"),
+		ok, ok, failing("second-b"), ok,
+	}
+	rows := campaignRows(NewRunner(2), groups, jobs)
+	want := []string{"first-a", "", "first-c", "", "second-b", ""}
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		if want[i] == "" {
+			if r.Err != "" || r.Cycles == 0 {
+				t.Errorf("row %d (seed %#x): err %q, cycles %d; want a clean run", i, r.Seed, r.Err, r.Cycles)
+			}
+			continue
+		}
+		if !strings.Contains(r.Err, want[i]) {
+			t.Errorf("row %d (seed %#x): err %q, want its own job's %q", i, r.Seed, r.Err, want[i])
+		}
 	}
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"crypto/sha256"
 	"fmt"
+	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/engine"
@@ -85,15 +86,36 @@ func configHash(v kernels.Variant, size int, o *sim.Options) (wire.Hash, error) 
 // runner's memo table. A size of 0 resolves to the kernel's DefaultSize,
 // matching what execution would run.
 func FingerprintJob(j Job) (wire.Hash, error) {
+	k, err := fingerprintKey(&j)
+	if err != nil {
+		return wire.Hash{}, err
+	}
+	return fingerprint(&j, k)
+}
+
+// fingerprintKey is the job's cell key (keyOf) with FingerprintJob's
+// errors: it computes the configuration hash the fingerprint then reuses.
+func fingerprintKey(j *Job) (cellKey, error) {
+	if j.Kernel == nil && j.Build == nil {
+		return cellKey{}, fmt.Errorf("bench: fingerprint: job has neither Kernel nor Build")
+	}
+	k, err := keyOf(j)
+	if err != nil {
+		return cellKey{}, fmt.Errorf("bench: fingerprint: %s/%s n=%d: %w", j.id(), j.Variant, k.size, err)
+	}
+	return k, nil
+}
+
+// fingerprint builds the job's program and hashes it with k.cfg, the
+// job's configuration hash.
+func fingerprint(j *Job, k cellKey) (wire.Hash, error) {
 	o, size := j.resolve()
 	h := mem.NewHierarchy(o.Hier)
 	var inst *kernels.Instance
 	if j.Build != nil {
 		inst = j.Build(h)
-	} else if j.Kernel != nil {
-		inst = j.Kernel.Build(h, j.Variant, size)
 	} else {
-		return wire.Hash{}, fmt.Errorf("bench: fingerprint: job has neither Kernel nor Build")
+		inst = j.Kernel.Build(h, j.Variant, size)
 	}
 	if inst.Err != nil {
 		return wire.Hash{}, fmt.Errorf("bench: fingerprint: %s/%s n=%d: %w", j.id(), j.Variant, size, inst.Err)
@@ -102,15 +124,95 @@ func FingerprintJob(j Job) (wire.Hash, error) {
 	if err != nil {
 		return wire.Hash{}, fmt.Errorf("bench: fingerprint: %s/%s n=%d: %w", j.id(), j.Variant, size, err)
 	}
-	cfgHash, err := configHash(j.Variant, size, &o)
-	if err != nil {
-		return wire.Hash{}, fmt.Errorf("bench: fingerprint: %s/%s n=%d: %w", j.id(), j.Variant, size, err)
-	}
 
 	d := sha256.New()
 	d.Write(unitBytes)
-	d.Write(cfgHash[:])
+	d.Write(k.cfg[:])
 	var out wire.Hash
 	d.Sum(out[:0])
 	return out, nil
+}
+
+// fingerprintMemoCap bounds a FingerprintMemo. The paper's matrix at one
+// size is 19 kernels × 3 variants × 2 fidelities × traced or not (228
+// cells), so a daemon serving many sizes and configurations still answers
+// its working set from the memo; past the cap the oldest cell is evicted.
+const fingerprintMemoCap = 4096
+
+// FingerprintStats counts how a FingerprintMemo answered.
+type FingerprintStats struct {
+	MemoHits int `json:"memo_hits"` // answered from the memo, nothing built
+	Built    int `json:"built"`     // built and hashed (failed builds included)
+}
+
+// FingerprintMemo caches FingerprintJob under the runner's memo key
+// (kernel id, variant, resolved size, configuration hash). The program a
+// job builds is a pure function of that key — the hierarchy it is laid
+// out in is part of the configuration — so a repeat cell's fingerprint is
+// a map lookup after one configuration hash, with no build. It is an
+// identity cache, not a dedup layer: it decides nothing about whether a
+// job runs, only how cheaply its name is computed. Only successful
+// fingerprints are kept; a failing build is retried (and fails alike)
+// every time. It holds at most fingerprintMemoCap cells, evicting the
+// oldest first, and grows only as cells arrive. The zero value is ready
+// to use and safe for concurrent callers.
+type FingerprintMemo struct {
+	mu    sync.Mutex
+	fps   map[cellKey]wire.Hash
+	order []cellKey // insertion order; a ring once full
+	next  int       // the oldest entry once the ring is full
+	stats FingerprintStats
+}
+
+// Fingerprint returns FingerprintJob(j), from the memo when the job's cell
+// has been fingerprinted before.
+func (m *FingerprintMemo) Fingerprint(j Job) (wire.Hash, error) {
+	k, err := fingerprintKey(&j)
+	if err != nil {
+		return wire.Hash{}, err
+	}
+	m.mu.Lock()
+	fp, ok := m.fps[k]
+	if ok {
+		m.stats.MemoHits++
+	} else {
+		m.stats.Built++
+	}
+	m.mu.Unlock()
+	if ok {
+		return fp, nil
+	}
+	if fp, err = fingerprint(&j, k); err != nil {
+		return wire.Hash{}, err
+	}
+	m.mu.Lock()
+	m.put(k, fp)
+	m.mu.Unlock()
+	return fp, nil
+}
+
+// put records a cell, evicting the oldest when the memo is full. Callers
+// hold mu.
+func (m *FingerprintMemo) put(k cellKey, fp wire.Hash) {
+	if _, ok := m.fps[k]; ok {
+		return // a concurrent miss of the same cell stored it first
+	}
+	if m.fps == nil {
+		m.fps = make(map[cellKey]wire.Hash)
+	}
+	if len(m.order) < fingerprintMemoCap {
+		m.order = append(m.order, k)
+	} else {
+		delete(m.fps, m.order[m.next])
+		m.order[m.next] = k
+		m.next = (m.next + 1) % fingerprintMemoCap
+	}
+	m.fps[k] = fp
+}
+
+// Stats returns a snapshot of the memo's counters.
+func (m *FingerprintMemo) Stats() FingerprintStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.stats
 }

@@ -128,6 +128,17 @@ func ExecJob(ctx context.Context, j Job) (res *sim.Result, err error) {
 // as read-only. The returned error is the first job error in submission
 // order; results for the other jobs are still returned.
 func (r *Runner) RunAll(jobs []Job) ([]*sim.Result, error) {
+	results, errs := r.runEach(jobs)
+	for _, err := range errs {
+		if err != nil {
+			return results, err
+		}
+	}
+	return results, nil
+}
+
+// runEach is RunAll reporting every job's own error, in submission order.
+func (r *Runner) runEach(jobs []Job) ([]*sim.Result, []error) {
 	entries := make([]*memoEntry, len(jobs))
 	type work struct {
 		entry *memoEntry
@@ -193,16 +204,13 @@ func (r *Runner) RunAll(jobs []Job) ([]*sim.Result, error) {
 	}
 
 	results := make([]*sim.Result, len(jobs))
-	var firstErr error
+	errs := make([]error, len(jobs))
 	for i, e := range entries {
 		// Entries owned by a concurrent RunAll may still be in flight.
 		<-e.done
-		results[i] = e.res
-		if e.err != nil && firstErr == nil {
-			firstErr = e.err
-		}
+		results[i], errs[i] = e.res, e.err
 	}
-	return results, firstErr
+	return results, errs
 }
 
 // Run executes a single job through the pool and memo table.

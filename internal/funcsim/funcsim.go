@@ -50,13 +50,13 @@ type Config struct {
 // instructions, mirroring the detailed core's cycle-batch polling.
 const cancelBatch = 4096
 
-// chunk is one generated vector chunk: its element addresses plus the
-// end-of-dimension flags of its closing element, exactly as the cycle
-// engine's FIFO chunks carry them.
+// chunk is one generated vector chunk: its element addresses (a range of
+// its stream's addrs) plus the end-of-dimension flags of its closing
+// element, exactly as the cycle engine's FIFO chunks carry them.
 type chunk struct {
-	addrs []uint64
-	end   uint16
-	last  bool
+	lo, hi int
+	end    uint16
+	last   bool
 }
 
 // stream is one configured stream instance (the functional analogue of an
@@ -73,6 +73,7 @@ type stream struct {
 	suspended   bool
 	released    bool
 
+	addrs  []uint64 // every element address, in generation order
 	chunks []chunk
 	elems  int64
 	pos    int // next chunk to consume (loads) or fill (stores)
@@ -101,6 +102,14 @@ type Machine struct {
 	vecR [isa.NumVecRegs]isa.VecVal
 	prR  [isa.NumPredRegs]isa.PredVal
 
+	// vecStore is each vector register's own lane storage: results are
+	// computed into res (and consumed chunks read into consBuf) and copied
+	// here, so interpreting an instruction allocates nothing. None of the
+	// scratch buffers overlaps another or a register's storage.
+	vecStore [isa.NumVecRegs][]uint64
+	res      []uint64
+	consBuf  [3][]uint64
+
 	effVecBytes int
 
 	sat       [isa.NumVecRegs]*stream
@@ -114,6 +123,9 @@ type Machine struct {
 	originWs  [isa.NumVecRegs]arch.ElemWidth
 	originCum [isa.NumVecRegs]int64
 
+	// gen walks a stream's descriptor at configuration.
+	gen descriptor.Iterator
+
 	shadow *engine.Shadow
 
 	committed uint64
@@ -126,6 +138,22 @@ type Machine struct {
 func New(cfg Config, p *program.Program, m *mem.Memory) *Machine {
 	fm := &Machine{cfg: cfg, prog: p, mem: m, effVecBytes: cfg.VecBytes}
 	fm.prR[0] = isa.AllLanes
+	// A vector holds at most VecBytes lanes (one-byte elements): one arena
+	// carves every register's storage and the scratch buffers.
+	n := max(cfg.VecBytes, 1)
+	arena := make([]uint64, (isa.NumVecRegs+4)*n)
+	carve := func() []uint64 {
+		b := arena[:0:n]
+		arena = arena[n:]
+		return b
+	}
+	for r := range fm.vecStore {
+		fm.vecStore[r] = carve()
+	}
+	fm.res = carve()
+	for i := range fm.consBuf {
+		fm.consBuf[i] = carve()
+	}
 	if cfg.Sanitize {
 		fm.shadow = engine.NewShadow()
 	}
@@ -304,7 +332,7 @@ func (m *Machine) step(pc int) (next int, halt bool, err error) {
 			if dup {
 				continue
 			}
-			cons = append(cons, consumedVal{u: r.N, v: m.consume(s)})
+			cons = append(cons, consumedVal{u: r.N, v: m.consume(s, len(cons))})
 		}
 		if in.Dst.Class == isa.ClassVec {
 			if s := m.sat[in.Dst.N]; s != nil && !s.suspended && s.kind == descriptor.Store {
@@ -316,11 +344,17 @@ func (m *Machine) step(pc int) (next int, halt bool, err error) {
 		}
 	}
 	// writeVecDst routes a vector result to the output stream when the
-	// destination is one, to the architectural register otherwise.
+	// destination is one, to the architectural register otherwise: copied
+	// into the register's own storage, since v may be scratch. A nil L
+	// stays nil — operand lane counting tells it from an empty one.
 	writeVecDst := func(v isa.VecVal) {
 		if prod != nil {
 			m.produce(prod, v)
 			return
+		}
+		if v.L != nil {
+			m.vecStore[in.Dst.N] = append(m.vecStore[in.Dst.N][:0], v.L...)
+			v.L = m.vecStore[in.Dst.N]
 		}
 		m.vecR[in.Dst.N] = v
 	}
@@ -412,7 +446,7 @@ func (m *Machine) step(pc int) (next int, halt bool, err error) {
 
 	case op == isa.OpVFAddV || op == isa.OpVFMaxV || op == isa.OpVFMinV:
 		bits := isa.EvalVecHoriz(op, in.W, m.operandVec(in.Src1, cons))
-		writeVecDst(isa.VecFrom(in.W, []uint64{bits}))
+		writeVecDst(isa.VecVal{W: in.W, N: 1, L: append(m.res[:0], bits)})
 	case op == isa.OpVFAddVF || op == isa.OpVFMaxVF || op == isa.OpVFMinVF:
 		m.writeScalar(in.Dst, isa.EvalVecHoriz(op, in.W, m.operandVec(in.Src1, cons)))
 
@@ -420,6 +454,7 @@ func (m *Machine) step(pc int) (next int, halt bool, err error) {
 		args := isa.VecArgs{
 			A: m.operandVec(in.Src1, cons), B: m.operandVec(in.Src2, cons), C: m.operandVec(in.Src3, cons),
 			Pred: m.operandPred(&in), Lanes: m.lanes(in.W), W: in.W,
+			Dst: m.res,
 		}
 		switch op {
 		case isa.OpVDup, isa.OpVDupX:
@@ -452,7 +487,7 @@ func (m *Machine) step(pc int) (next int, halt bool, err error) {
 			writeVecDst(isa.VecVal{W: in.W})
 			break
 		}
-		out := isa.VecVal{W: in.W, N: lanes, L: make([]uint64, lanes)}
+		out := isa.VecVal{W: in.W, N: lanes, L: m.scratch(lanes)}
 		for i := 0; i < lanes; i++ {
 			out.L[i] = m.mem.Read(addr+uint64(i)*uint64(in.W), in.W)
 		}
@@ -466,7 +501,7 @@ func (m *Machine) step(pc int) (next int, halt bool, err error) {
 			writeVecDst(isa.VecVal{W: in.W})
 			break
 		}
-		out := isa.VecVal{W: in.W, N: lanes, L: make([]uint64, lanes)}
+		out := isa.VecVal{W: in.W, N: lanes, L: m.scratch(lanes)}
 		for l := 0; l < lanes; l++ {
 			out.L[l] = m.mem.Read(base+idx.Lane(l)*uint64(in.W), in.W)
 		}
@@ -497,6 +532,14 @@ func (m *Machine) step(pc int) (next int, halt bool, err error) {
 	m.committed++
 	m.byKind[op.Kind()]++
 	return next, halt, nil
+}
+
+// scratch returns n lanes of the result buffer, growing it when needed.
+func (m *Machine) scratch(n int) []uint64 {
+	if cap(m.res) < n {
+		m.res = make([]uint64, n)
+	}
+	return m.res[:n]
 }
 
 // --- streams ---
@@ -562,14 +605,18 @@ func (m *Machine) generate(s *stream) error {
 			if os == nil || os.configuring {
 				return fmt.Errorf("u%d: indirect origin u%d not configured", s.u, ou)
 			}
-			m.originIts[ou] = descriptor.NewIterator(os.desc, nil)
+			if m.originIts[ou] == nil {
+				m.originIts[ou] = new(descriptor.Iterator)
+			}
+			m.originIts[ou].Reset(os.desc, nil)
 			m.originWs[ou] = os.w
 			m.originCum[ou] = 0
 		}
 		src = originSource{m}
 	}
 	lanes := arch.LanesFor(m.effVecBytes, s.desc.Width)
-	it := descriptor.NewIterator(s.desc, src)
+	it := &m.gen
+	it.Reset(s.desc, src)
 	writes := s.kind == descriptor.Store
 	var cur chunk
 	for {
@@ -577,18 +624,18 @@ func (m *Machine) generate(s *stream) error {
 		if !ok {
 			break
 		}
-		cur.addrs = append(cur.addrs, el.Addr)
+		s.addrs = append(s.addrs, el.Addr)
 		s.elems++
 		if m.shadow != nil {
 			m.shadow.Touch(s.u, s.slot, el.Addr, int64(s.w), writes)
 		}
-		if len(cur.addrs) >= lanes || el.EndsDim(0) {
+		if cur.hi = len(s.addrs); cur.hi-cur.lo >= lanes || el.EndsDim(0) {
 			cur.end, cur.last = el.End, el.Last
 			s.chunks = append(s.chunks, cur)
-			cur = chunk{}
+			cur = chunk{lo: cur.hi}
 		}
 	}
-	if len(cur.addrs) > 0 {
+	if cur.hi > cur.lo {
 		// Degenerate tail: the iterator's final element always closes a
 		// chunk, but keep the engine's guard for safety.
 		cur.end, cur.last = ^uint16(0), true
@@ -612,17 +659,22 @@ func (m *Machine) generate(s *stream) error {
 }
 
 // consume pops the next chunk of a load stream, reading its element data
-// from memory. Past the end it returns the synthetic-end view: zero data,
-// flags unchanged. Consuming the final chunk releases the instance (the
-// consume and its commit collapse onto the same program-order step).
-func (m *Machine) consume(s *stream) isa.VecVal {
+// from memory into the instruction's buf-th consume buffer. Past the end it
+// returns the synthetic-end view: zero data, flags unchanged. Consuming the
+// final chunk releases the instance (the consume and its commit collapse
+// onto the same program-order step).
+func (m *Machine) consume(s *stream, buf int) isa.VecVal {
 	if s.pos >= len(s.chunks) {
 		return isa.VecVal{}
 	}
 	c := s.chunks[s.pos]
 	s.pos++
-	out := isa.VecVal{W: s.w, N: len(c.addrs), L: make([]uint64, len(c.addrs))}
-	for i, a := range c.addrs {
+	addrs := s.addrs[c.lo:c.hi]
+	if cap(m.consBuf[buf]) < len(addrs) {
+		m.consBuf[buf] = make([]uint64, len(addrs))
+	}
+	out := isa.VecVal{W: s.w, N: len(addrs), L: m.consBuf[buf][:len(addrs)]}
+	for i, a := range addrs {
 		out.L[i] = m.mem.Read(a, s.w)
 	}
 	s.lastEnd, s.lastLast = c.end, c.last
@@ -642,7 +694,7 @@ func (m *Machine) produce(s *stream, v isa.VecVal) {
 	}
 	c := s.chunks[s.pos]
 	s.pos++
-	for i, a := range c.addrs {
+	for i, a := range s.addrs[c.lo:c.hi] {
 		var val uint64
 		if i < v.N {
 			val = v.Lane(i)

@@ -71,7 +71,10 @@ func clientKey(r *http.Request) string {
 }
 
 // jobJSON is the wire shape of one job's status. Report embeds the stored
-// payload verbatim (json.RawMessage round-trips byte-exactly).
+// payload as JSON, not byte for byte: writeJSON's indenting encoder
+// re-indents the embedded document to its nesting depth. A client that
+// needs the stored bytes fetches GET /v1/jobs/{id}/report, the byte-exact
+// path.
 type jobJSON struct {
 	ID        string          `json:"id"`
 	State     JobState        `json:"state"`

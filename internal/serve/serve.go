@@ -3,21 +3,24 @@
 // HTTP/JSON; the server fingerprints each job (bench.FingerprintJob — the
 // SHA-256 of the built program's canonical wire encoding plus the
 // canonical config hash), consults the persistent result store, and only
-// simulates what the store has never seen. Completed payloads are
-// versioned report.Documents whose bytes are a pure function of the job's
-// content — no job IDs, no timestamps — so N clients submitting the same
-// matrix receive byte-identical reports, across workers, processes and
-// daemon restarts.
+// simulates what the store has never seen. A cell seen before is named
+// from a bench.FingerprintMemo without building its program, so a repeat
+// submission costs one config hash plus a store read. Completed payloads
+// are versioned report.Documents whose bytes are a pure function of the
+// job's content — no job IDs, no timestamps — so N clients submitting the
+// same matrix receive byte-identical reports, across workers, processes
+// and daemon restarts.
 //
 // A job is deduplicated twice and only twice: by the persistent store,
 // and by a singleflight over in-flight fingerprints (jobs with equal
 // fingerprints join one execution, which stays joinable until its payload
-// is stored). The daemon keeps no in-memory copy of results. Execution is
-// a bounded worker pool calling bench.ExecJob, with per-client
-// token-bucket rate limits, per-job timeouts and cancellation via
-// contexts, streamed NDJSON progress for traced jobs, and graceful drain:
-// in-flight jobs finish, queued and new jobs are rejected with a
-// retriable status.
+// is stored). The fingerprint memo is an identity cache, not a third
+// tier: it changes how cheaply a job is named, never whether it runs. The
+// daemon keeps no in-memory copy of results. Execution is a bounded
+// worker pool calling bench.ExecJob, with per-client token-bucket rate
+// limits, per-job timeouts and cancellation via contexts, streamed NDJSON
+// progress for traced jobs, and graceful drain: in-flight jobs finish,
+// queued and new jobs are rejected with a retriable status.
 package serve
 
 import (
@@ -93,6 +96,10 @@ type Stats struct {
 	// pool, Simulated actually ran (drain rejects the rest), MemoHits are
 	// submissions that joined an in-flight execution.
 	Runner bench.RunnerStats `json:"runner"`
+	// Fingerprints counts how submissions were named: MemoHits were
+	// answered from the fingerprint memo (a cell seen before), Built
+	// built the program to hash it.
+	Fingerprints bench.FingerprintStats `json:"fingerprints"`
 	// StoreHits/StoreMisses duplicate the store section at the top level —
 	// the serve-smoke greps for these exact names.
 	StoreHits   int  `json:"store_hits"`
@@ -134,6 +141,7 @@ type Server struct {
 	queue chan *execution
 	wg    sync.WaitGroup // worker goroutines
 	limit *limiter
+	fps   bench.FingerprintMemo // names repeat cells without building them
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -179,7 +187,7 @@ func (s *Server) Stats() Stats {
 	s.mu.Unlock()
 	st := s.cfg.Store.Stats()
 	return Stats{
-		Store: st, Runner: runs,
+		Store: st, Runner: runs, Fingerprints: s.fps.Stats(),
 		StoreHits: st.Hits, StoreMisses: st.Misses,
 		Jobs: jobs, Draining: draining,
 		RateLimited: s.limit.rejected(),
@@ -207,7 +215,7 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 		prog = newProgress()
 		bj.Opts.Trace = prog
 	}
-	key, err := bench.FingerprintJob(bj)
+	key, err := s.fps.Fingerprint(bj)
 	if err != nil {
 		return "", err
 	}

@@ -596,3 +596,112 @@ func TestSingleSpecSubmitAndHealthz(t *testing.T) {
 		t.Errorf("healthz = %q, want ok", hz.Status)
 	}
 }
+
+// TestRepeatSpecsNameFromMemo: a repeat spec is named from the fingerprint
+// memo — one build per distinct cell — and the counters show it on
+// /v1/stats next to the unchanged runner section.
+func TestRepeatSpecsNameFromMemo(t *testing.T) {
+	_, ts := newServer(t, t.TempDir(), serve.Config{Workers: 2})
+	specs := matrix()
+	for wave := 0; wave < 3; wave++ {
+		_, sr, raw := postJobs(t, ts.URL, "client", specs, "?wait=1")
+		if len(sr.Jobs) != len(specs) {
+			t.Fatalf("wave %d: %s", wave, raw)
+		}
+		for i, j := range sr.Jobs {
+			if j.State != "done" || j.FromStore != (wave > 0) {
+				t.Fatalf("wave %d job %d: state=%s from_store=%v (%s)", wave, i, j.State, j.FromStore, j.Error)
+			}
+		}
+	}
+	st := getStats(t, ts.URL)
+	if st.Fingerprints.Built != len(specs) || st.Fingerprints.MemoHits != 2*len(specs) {
+		t.Errorf("fingerprints %+v, want %d built and %d from the memo", st.Fingerprints, len(specs), 2*len(specs))
+	}
+	if st.Runner.Simulated != len(specs) || st.StoreHits != 2*len(specs) {
+		t.Errorf("runner %+v store hits %d, want %d simulated and %d hits", st.Runner, st.StoreHits, len(specs), 2*len(specs))
+	}
+}
+
+// TestFailingBuildNotMemoized: a spec whose build fails is refused the
+// same way on every submission, and its failure is not remembered.
+func TestFailingBuildNotMemoized(t *testing.T) {
+	s, _ := newServer(t, t.TempDir(), serve.Config{Workers: 1})
+	// GEMM's UVE code needs N to be a multiple of the 16-lane vector.
+	spec := serve.JobSpec{Kernel: "D", Variant: "uve", Size: 5}
+	_, err1 := s.Submit(spec)
+	_, err2 := s.Submit(spec)
+	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
+		t.Fatalf("submits: %v / %v, want two identical build errors", err1, err2)
+	}
+	if got := s.Stats().Fingerprints; got.Built != 2 || got.MemoHits != 0 {
+		t.Errorf("fingerprints %+v, want the failing build retried, never answered from the memo", got)
+	}
+}
+
+// TestConcurrentNewSpecJoinsOneExecution: clients racing to submit a cell
+// nobody has seen all get its one execution's payload — the memo names
+// the cell, the singleflight and the store still decide what runs.
+func TestConcurrentNewSpecJoinsOneExecution(t *testing.T) {
+	s, _ := newServer(t, t.TempDir(), serve.Config{Workers: 2})
+	spec := serve.JobSpec{Kernel: "C", Variant: "uve", Size: 2048}
+	const clients = 8
+	payloads := make([][]byte, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			id, err := s.Submit(spec)
+			if err != nil {
+				t.Errorf("client %d: %v", c, err)
+				return
+			}
+			st, _ := s.Wait(context.Background(), id)
+			if st.State != serve.StateDone {
+				t.Errorf("client %d: state %s (%s)", c, st.State, st.Error)
+			}
+			payloads[c] = st.Payload
+		}(c)
+	}
+	wg.Wait()
+	for c := 1; c < clients; c++ {
+		if !bytes.Equal(payloads[c], payloads[0]) {
+			t.Errorf("client %d payload differs from client 0", c)
+		}
+	}
+	st := s.Stats()
+	if st.Runner.Simulated != 1 {
+		t.Errorf("runner %+v, want one execution for %d concurrent submissions", st.Runner, clients)
+	}
+	if f := st.Fingerprints; f.Built+f.MemoHits != clients || f.Built < 1 {
+		t.Errorf("fingerprints %+v, want %d namings, at least one built", f, clients)
+	}
+}
+
+// TestStoreHitSubmitAllocs is the allocation gate on the hit path: once a
+// cell is stored, Submit names it from the memo and reads the store —
+// no build, no hierarchy, no lint. What is left is the spec's options,
+// the configuration hash, the store read and the job record (25 on
+// C/UVE n=2048); rebuilding the program per hit costs about 260.
+func TestStoreHitSubmitAllocs(t *testing.T) {
+	s, _ := newServer(t, t.TempDir(), serve.Config{Workers: 1})
+	spec := serve.JobSpec{Kernel: "C", Variant: "uve", Size: 2048}
+	id, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.Wait(context.Background(), id); st.State != serve.StateDone {
+		t.Fatalf("first submit: %s (%s)", st.State, st.Error)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := s.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocations per store-hit Submit", allocs)
+	const limit = 30
+	if allocs > limit {
+		t.Errorf("%.1f allocations per store-hit Submit, want at most %d", allocs, limit)
+	}
+}
