@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race fuzz-smoke bench-smoke tier-smoke trace-smoke fault-smoke watchdog-smoke wire-smoke model-smoke prove-smoke serve-smoke perf-smoke perf-baseline bench experiments
+.PHONY: check fmt vet lint build test race fuzz-smoke bench-smoke examples-smoke tier-smoke trace-smoke fault-smoke watchdog-smoke wire-smoke model-smoke prove-smoke serve-smoke perf-smoke perf-baseline bench experiments
 
-check: fmt vet build lint race fuzz-smoke bench-smoke tier-smoke trace-smoke fault-smoke watchdog-smoke wire-smoke model-smoke prove-smoke serve-smoke perf-smoke
+check: fmt vet build lint race fuzz-smoke bench-smoke examples-smoke tier-smoke trace-smoke fault-smoke watchdog-smoke wire-smoke model-smoke prove-smoke serve-smoke perf-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on: $$out"; exit 1; fi
@@ -49,6 +49,13 @@ fuzz-smoke:
 # the full kernel × machine matrix still assembles, runs and validates.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFig8$$' -benchtime 1x .
+
+# Examples smoke: each example checks its own results (a wrong value
+# panics) and drives uve.Machine, the public front end to sim.
+examples-smoke:
+	for ex in quickstart faults rowmax stencil patterns; do \
+	    $(GO) run ./examples/$$ex > /dev/null || exit 1; \
+	done
 
 # Execution-tier smoke: the functional/cycle differential oracle and the
 # event-skip bit-equivalence suite race-detected (the functional sweep

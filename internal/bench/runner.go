@@ -103,21 +103,23 @@ func (r *Runner) Stats() RunnerStats {
 }
 
 // ExecJob runs one simulation under ctx (a done context aborts it with a
-// *sim.CanceledError), converting panics (watchdog aborts, kernel build
-// failures) into errors so a dying worker can never wedge its pool. It is
-// the runner's single-job path without the memo.
+// *sim.CanceledError), converting panics (kernel build failures, modeling
+// bugs) into errors so a dying worker can never wedge its pool. It is the
+// runner's single-job path without the memo. Errors name the job once, as
+// sim does: "name/variant n=size: ...".
 func ExecJob(ctx context.Context, j Job) (res *sim.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("%s/%s n=%d: simulation panic: %v", j.id(), j.Variant, j.Size, p)
+			name, size := j.Key, j.Size
+			if j.Build == nil {
+				name = j.Kernel.Name
+				_, size = j.resolve()
+			}
+			err = fmt.Errorf("%s/%s n=%d: simulation panic: %v", name, j.Variant, size, p)
 		}
 	}()
 	if j.Build != nil {
-		res, err = sim.RunBuiltContext(ctx, j.Key, j.Variant, j.Size, j.Opts, j.Build)
-		if err != nil {
-			err = fmt.Errorf("%s/%s n=%d: %w", j.Key, j.Variant, j.Size, err)
-		}
-		return res, err
+		return sim.RunBuiltContext(ctx, j.Key, j.Variant, j.Size, j.Opts, j.Build)
 	}
 	return sim.RunContext(ctx, j.Kernel, j.Variant, j.Size, j.Opts)
 }

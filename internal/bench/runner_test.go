@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -131,6 +132,20 @@ func TestRunnerPropagatesErrors(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "simulation panic") {
 		t.Fatalf("err = %v, want simulation-panic error", err)
+	}
+
+	// Kernel jobs are named once, with the resolved size.
+	res, err := ExecJob(context.Background(), Job{Kernel: &kernels.Kernel{
+		ID: "ZP", Name: "panics", DefaultSize: 12,
+		Build: func(h *mem.Hierarchy, v kernels.Variant, size int) *kernels.Instance { panic("boom") },
+	}, Variant: kernels.SVE})
+	if res != nil || err == nil || err.Error() != "panics/SVE n=12: simulation panic: boom" {
+		t.Fatalf("err = %v, want the job named once with its resolved size", err)
+	}
+	_, err = ExecJob(context.Background(), Job{Variant: kernels.SVE, Size: 8, Key: "failing-build",
+		Build: func(h *mem.Hierarchy) *kernels.Instance { return &kernels.Instance{Err: errors.New("bad")} }})
+	if err == nil || err.Error() != "failing-build/SVE n=8: bad" {
+		t.Fatalf("err = %v, want the custom job named once", err)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/cpu"
-	"repro/internal/funcsim"
 	"repro/internal/kernels"
 	"repro/internal/mem"
 )
@@ -41,36 +39,6 @@ func (e *CanceledError) Error() string {
 // Unwrap exposes the context error for errors.Is/errors.As.
 func (e *CanceledError) Unwrap() error { return e.Err }
 
-// coreCancel builds the detailed core's batched cancellation check: it
-// panics with a *CanceledError the moment the context reports done, and
-// runCore's recover converts the panic into an ordinary error return.
-// Returns nil for contexts that can never be canceled, so the core's hot
-// loop keeps its nil fast path.
-func coreCancel(ctx context.Context) func(cycle int64) {
-	if ctx.Done() == nil {
-		return nil
-	}
-	return func(cycle int64) {
-		if err := ctx.Err(); err != nil {
-			panic(&CanceledError{Cycle: cycle, Err: err})
-		}
-	}
-}
-
-// funcCancel builds the functional tier's cancellation check (nil for
-// never-canceled contexts).
-func funcCancel(ctx context.Context) func(insts int64) error {
-	if ctx.Done() == nil {
-		return nil
-	}
-	return func(insts int64) error {
-		if err := ctx.Err(); err != nil {
-			return &CanceledError{Insts: insts, Err: err}
-		}
-		return nil
-	}
-}
-
 // RunContext is Run with cancellation: the context is polled at
 // cycle-batch granularity on the detailed tier (instruction-batch on the
 // functional tier) and a done context aborts the run with a
@@ -86,25 +54,7 @@ func RunContext(ctx context.Context, k *kernels.Kernel, v kernels.Variant, size 
 	if size == 0 {
 		size = k.DefaultSize
 	}
-	res, err := RunBuiltContext(ctx, k.ID, v, size, opts, func(h *mem.Hierarchy) *kernels.Instance {
+	return runBuilt(ctx, k.Name, k.ID, v, size, opts, func(h *mem.Hierarchy) *kernels.Instance {
 		return k.Build(h, v, size)
 	})
-	if err != nil {
-		return res, fmt.Errorf("%s/%s n=%d: %w", k.Name, v, size, err)
-	}
-	return res, nil
-}
-
-// installCancel arms the core's cancellation check for the run context.
-func installCancel(ctx context.Context, core *cpu.Core) {
-	if check := coreCancel(ctx); check != nil {
-		core.SetCancel(check)
-	}
-}
-
-// installFuncCancel arms the functional machine's cancellation check.
-func installFuncCancel(ctx context.Context, cfg *funcsim.Config) {
-	if check := funcCancel(ctx); check != nil {
-		cfg.Cancel = check
-	}
 }

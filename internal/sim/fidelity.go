@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/cpu"
 	"repro/internal/funcsim"
 	"repro/internal/kernels"
 	"repro/internal/mem"
@@ -44,30 +45,35 @@ func ParseFidelity(s string) (Fidelity, error) {
 	return Cycle, fmt.Errorf("unknown fidelity %q (want cycle or functional)", s)
 }
 
-// runFunctional is RunBuilt's Functional-tier path: it interprets the built
-// instance in program order and fills the architectural subset of Result
-// (Committed, per-kind counts, Collisions, MemHash). Timing fields stay
-// zero — a functional Result answers "what did the program compute", never
-// "how fast".
-func runFunctional(ctx context.Context, id string, v kernels.Variant, size int, o *Options, h *mem.Hierarchy, inst *kernels.Instance) (*Result, error) {
+// runFunctional is Execute's functional tier: it interprets the instance in
+// program order and fills the architectural subset of Result (Committed,
+// per-kind counts, Collisions). Timing fields stay zero — a functional
+// Result answers "what did the program compute", never "how fast".
+func runFunctional(ctx context.Context, h *mem.Hierarchy, inst *kernels.Instance, core cpu.Config, sanitize bool, o *Options) (*Result, error) {
 	if o.Trace != nil {
-		return nil, fmt.Errorf("%s/%s: functional fidelity cannot record traces (no cycles to attribute events to)", id, v)
+		return nil, fmt.Errorf("sim: functional fidelity cannot record traces (no cycles to attribute events to)")
 	}
 	if o.Faults != nil && o.Faults.Enabled() {
-		return nil, fmt.Errorf("%s/%s: functional fidelity cannot inject faults (injectors perturb timing, which the tier does not model)", id, v)
+		return nil, fmt.Errorf("sim: functional fidelity cannot inject faults (injectors perturb timing, which the tier does not model)")
 	}
-	sanitize, elided := o.resolveSanitize(v, inst)
 	cfg := funcsim.Config{
-		VecBytes: o.Core.VecBytes,
+		VecBytes: core.VecBytes,
 		Sanitize: sanitize,
 	}
 	// The detailed tier bounds runs in cycles; translate the same knob into
 	// an instruction budget (commit width retires at most that many per
 	// cycle, so the bound is never tighter than the cycle model's).
-	if o.Core.MaxCycles > 0 {
-		cfg.MaxInsts = o.Core.MaxCycles * int64(o.Core.CommitWidth)
+	if core.MaxCycles > 0 {
+		cfg.MaxInsts = core.MaxCycles * int64(core.CommitWidth)
 	}
-	installFuncCancel(ctx, &cfg)
+	if ctx.Done() != nil {
+		cfg.Cancel = func(insts int64) error {
+			if err := ctx.Err(); err != nil {
+				return &CanceledError{Insts: insts, Err: err}
+			}
+			return nil
+		}
+	}
 	fm := funcsim.New(cfg, inst.Prog, h.Mem)
 	for r, val := range inst.IntArgs {
 		fm.SetIntReg(r, val)
@@ -76,26 +82,13 @@ func runFunctional(ctx context.Context, id string, v kernels.Variant, size int, 
 		fm.SetFPReg(r, a.W, a.V)
 	}
 	if err := fm.Run(); err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", id, v, err)
+		return nil, err
 	}
 	res := &Result{
-		Variant:    v,
-		Kernel:     id,
-		Size:       size,
 		Committed:  fm.Committed(),
 		Collisions: fm.Collisions(),
-
-		SanitizerElided: elided,
 	}
 	res.Core.Committed = fm.Committed()
 	res.Core.CommittedByKind = fm.CommittedByKind()
-	if o.HashMem {
-		res.MemHash = h.Mem.HashExtents()
-	}
-	if !o.SkipCheck && inst.Check != nil {
-		if err := inst.Check(); err != nil {
-			return res, fmt.Errorf("output mismatch: %w", err)
-		}
-	}
 	return res, nil
 }

@@ -87,3 +87,57 @@ func TestMustRunPanicsOnCheckFailure(t *testing.T) {
 	}()
 	MustRun(badKernel(), kernels.SVE, 16, nil)
 }
+
+// TestErrorsNameJobOnce: every failed job is named exactly once, as
+// "name/variant n=size: ..." with the resolved size, whichever layer the
+// failure comes from.
+func TestErrorsNameJobOnce(t *testing.T) {
+	failBuild := &kernels.Kernel{
+		ID: "ZB", Name: "fails-build", DefaultSize: 24,
+		Build: func(h *mem.Hierarchy, v kernels.Variant, size int) *kernels.Instance {
+			return &kernels.Instance{Err: errors.New("synthetic build failure")}
+		},
+	}
+	bounded := DefaultOptions(kernels.UVE)
+	bounded.MaxCycles = 500
+	cases := []struct {
+		name  string
+		run   func() error
+		label string
+		cause string
+	}{
+		{"build failure", func() error {
+			_, err := Run(failBuild, kernels.SVE, 0, nil)
+			return err
+		}, "fails-build/SVE n=24", "synthetic build failure"},
+		{"watchdog trip", func() error {
+			_, err := Run(kernels.ByID("C"), kernels.UVE, 1<<14, &bounded)
+			return err
+		}, "SAXPY/UVE n=16384", "watchdog"},
+		{"output mismatch", func() error {
+			_, err := Run(badKernel(), kernels.SVE, 0, nil)
+			return err
+		}, "always-wrong/SVE n=16", "output mismatch: synthetic mismatch"},
+		{"custom build", func() error {
+			_, err := RunBuilt("custom-id", kernels.NEON, 8, nil, func(h *mem.Hierarchy) *kernels.Instance {
+				return &kernels.Instance{Err: errors.New("synthetic custom failure")}
+			})
+			return err
+		}, "custom-id/NEON n=8", "synthetic custom failure"},
+	}
+	for _, c := range cases {
+		err := c.run()
+		if err == nil {
+			t.Errorf("%s: run succeeded", c.name)
+			continue
+		}
+		msg := err.Error()
+		if !strings.HasPrefix(msg, c.label+": ") || !strings.Contains(msg, c.cause) {
+			t.Errorf("%s: error %q, want %q: ...%s...", c.name, msg, c.label, c.cause)
+		}
+		variant := c.label[strings.Index(c.label, "/"):strings.Index(c.label, " ")]
+		if n := strings.Count(msg, variant); n != 1 {
+			t.Errorf("%s: error %q names the job %d times, want once", c.name, msg, n)
+		}
+	}
+}

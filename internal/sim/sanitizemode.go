@@ -59,11 +59,11 @@ var debugForceSanitize = false
 
 // resolveSanitize decides whether shadow tracking runs for this instance,
 // and whether it was elided on the strength of a safety certificate. Only
-// UVE runs have streams to track; fault campaigns never elide (injection
-// reorders engine timing, and the sanitizer is the oracle that proves the
-// reordering is architecturally invisible).
-func (o *Options) resolveSanitize(v kernels.Variant, inst *kernels.Instance) (enable, elided bool) {
-	if v != kernels.UVE {
+// streaming machines have streams to track; fault campaigns never elide
+// (injection reorders engine timing, and the sanitizer is the oracle that
+// proves the reordering is architecturally invisible).
+func (o *Options) resolveSanitize(streaming bool, inst *kernels.Instance) (enable, elided bool) {
+	if !streaming {
 		return false, false
 	}
 	switch o.Sanitize {

@@ -143,93 +143,73 @@ func RunBuilt(id string, v kernels.Variant, size int, opts *Options, build func(
 // memory hierarchy, plus the Streaming Engine for UVE), runs the instance
 // the build callback constructs against that hierarchy, and validates its
 // output. It is the single execution path shared by Run and by custom
-// instances such as the Fig 8.E unrolled GEMMs; id labels the Result.
-// Validation errors are returned raw so callers can add kernel context.
+// instances such as the Fig 8.E unrolled GEMMs; id labels the Result, and
+// every error it returns is named "id/variant n=size: ...".
 // The context is polled at cycle-batch granularity; a done context aborts
 // the run with a *CanceledError.
 func RunBuiltContext(ctx context.Context, id string, v kernels.Variant, size int, opts *Options, build func(h *mem.Hierarchy) *kernels.Instance) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, &CanceledError{Err: err}
+	return runBuilt(ctx, id, id, v, size, opts, build)
+}
+
+// runBuilt is RunBuiltContext with a separate error label: the one layer
+// that names a job, as "name/variant n=size". A nil opts runs the Table I
+// machine for the variant; a done context aborts before the build.
+func runBuilt(ctx context.Context, name, id string, v kernels.Variant, size int, opts *Options, build func(h *mem.Hierarchy) *kernels.Instance) (*Result, error) {
+	if opts == nil {
+		o := DefaultOptions(v)
+		opts = &o
 	}
-	var o Options
-	if opts != nil {
-		o = opts.Clone()
+	var res *Result
+	err := ctx.Err()
+	if err != nil {
+		err = &CanceledError{Err: err}
 	} else {
-		o = DefaultOptions(v)
+		h := mem.NewHierarchy(opts.Hier)
+		inst := build(h)
+		if err = inst.Err; err == nil {
+			res, err = Execute(ctx, h, inst, v == kernels.UVE, opts)
+		}
 	}
+	if res != nil {
+		res.Variant, res.Kernel, res.Size = v, id, size
+	}
+	if err != nil {
+		return res, fmt.Errorf("%s/%s n=%d: %w", name, v, size, err)
+	}
+	return res, nil
+}
+
+// Execute runs a built instance on h, the one place a machine is
+// assembled: on the cycle tier the core (plus the Streaming Engine when
+// streaming is set, and the fault injectors when o.Faults is enabled), on
+// the functional tier the program-order interpreter. o is read, never
+// modified. Injector hooks installed on h are cleared before Execute
+// returns, so callers may reuse h across runs. The context is polled at
+// cycle-batch (functional tier: instruction-batch) granularity, so callers
+// check a context that is done before the run themselves. Errors are
+// unnamed; an output mismatch returns the measured Result alongside its
+// error. Watchdog trips and cancellations become errors; any other panic
+// is a modeling bug and propagates.
+func Execute(ctx context.Context, h *mem.Hierarchy, inst *kernels.Instance, streaming bool, o *Options) (*Result, error) {
+	core := o.Core
 	if o.Watchdog > 0 {
-		o.Core.Watchdog = o.Watchdog
+		core.Watchdog = o.Watchdog
 	}
 	if o.MaxCycles > 0 {
-		o.Core.MaxCycles = o.MaxCycles
+		core.MaxCycles = o.MaxCycles
 	}
-	h := mem.NewHierarchy(o.Hier)
-	inst := build(h)
-	if inst.Err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", id, v, inst.Err)
-	}
+	sanitize, elided := o.resolveSanitize(streaming, inst)
+	var res *Result
+	var err error
 	if o.Fidelity == Functional {
-		return runFunctional(ctx, id, v, size, &o, h, inst)
+		res, err = runFunctional(ctx, h, inst, core, sanitize, o)
+	} else {
+		res, err = runCycle(ctx, h, inst, streaming, core, sanitize, o)
 	}
-
-	var inj *fault.Injector
-	if o.Faults != nil && o.Faults.Enabled() {
-		inj = fault.NewInjector(*o.Faults)
-		h.TLB.Inject = inj.PageFault
-		h.DRAM.Inject = inj.DRAMDelay
+	if err != nil {
+		return nil, err
 	}
-	sanitize, elided := o.resolveSanitize(v, inst)
-	var eng *engine.Engine
-	if v == kernels.UVE {
-		eng = engine.New(o.Eng, h)
-		if sanitize {
-			eng.EnableSanitizer()
-		}
-		if o.Trace != nil {
-			eng.SetRecorder(o.Trace)
-		}
-		if inj != nil {
-			eng.SetInjector(inj)
-		}
-	}
-	core := cpu.New(o.Core, inst.Prog, h, eng)
-	if o.Trace != nil {
-		core.SetRecorder(o.Trace)
-	}
-	for r, val := range inst.IntArgs {
-		core.SetIntReg(r, val)
-	}
-	for r, a := range inst.FPArgs {
-		core.SetFPReg(r, a.W, a.V)
-	}
-	installCancel(ctx, core)
-	cycles, runErr := runCore(core, &o)
-	if runErr != nil {
-		return nil, fmt.Errorf("%s/%s: %w", id, v, runErr)
-	}
-
-	res := &Result{
-		Variant:   v,
-		Kernel:    id,
-		Size:      size,
-		Cycles:    cycles,
-		Committed: core.Stats.Committed,
-		Core:      core.Stats,
-		DRAM:      h.DRAM.Stats,
-		L1:        h.L1D.Stats,
-		L2:        h.L2.Stats,
-		BusUtil:   h.DRAM.Utilization(cycles),
-
-		SanitizerElided: elided,
-	}
-	if eng != nil {
-		res.Eng = eng.Stats
-		res.Collisions = eng.Collisions()
-		res.Traffic = eng.Traffic()
-	}
-	if inj != nil {
-		res.Faults = inj.Stats
-	}
+	res.SanitizerElided = elided
 	if o.HashMem {
 		res.MemHash = h.Mem.HashExtents()
 	}
@@ -241,12 +221,79 @@ func RunBuiltContext(ctx context.Context, id string, v kernels.Variant, size int
 	return res, nil
 }
 
+// runCycle is Execute's detailed tier: the out-of-order core, the
+// Streaming Engine and the memory hierarchy simulated cycle by cycle.
+func runCycle(ctx context.Context, h *mem.Hierarchy, inst *kernels.Instance, streaming bool, cfg cpu.Config, sanitize bool, o *Options) (*Result, error) {
+	var inj *fault.Injector
+	if o.Faults != nil && o.Faults.Enabled() {
+		inj = fault.NewInjector(*o.Faults)
+		h.TLB.Inject = inj.PageFault
+		h.DRAM.Inject = inj.DRAMDelay
+		defer func() {
+			h.TLB.Inject = nil
+			h.DRAM.Inject = nil
+		}()
+	}
+	var eng *engine.Engine
+	if streaming {
+		eng = engine.New(o.Eng, h)
+		if sanitize {
+			eng.EnableSanitizer()
+		}
+		if o.Trace != nil {
+			eng.SetRecorder(o.Trace)
+		}
+		if inj != nil {
+			eng.SetInjector(inj)
+		}
+	}
+	core := cpu.New(cfg, inst.Prog, h, eng)
+	if o.Trace != nil {
+		core.SetRecorder(o.Trace)
+	}
+	for r, val := range inst.IntArgs {
+		core.SetIntReg(r, val)
+	}
+	for r, a := range inst.FPArgs {
+		core.SetFPReg(r, a.W, a.V)
+	}
+	if ctx.Done() != nil {
+		core.SetCancel(func(cycle int64) {
+			if err := ctx.Err(); err != nil {
+				panic(&CanceledError{Cycle: cycle, Err: err})
+			}
+		})
+	}
+	cycles, err := runCore(core, o)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Cycles:    cycles,
+		Committed: core.Stats.Committed,
+		Core:      core.Stats,
+		DRAM:      h.DRAM.Stats,
+		L1:        h.L1D.Stats,
+		L2:        h.L2.Stats,
+		BusUtil:   h.DRAM.Utilization(cycles),
+	}
+	if eng != nil {
+		res.Eng = eng.Stats
+		res.Collisions = eng.Collisions()
+		res.Traffic = eng.Traffic()
+	}
+	if inj != nil {
+		res.Faults = inj.Stats
+	}
+	return res, nil
+}
+
 // runCore executes the core, converting a watchdog abort (livelock or
 // cycle-bound trip, expected under adversarial fault plans) or a context
-// cancellation into an error — for watchdogs, one that carries the
-// structured diagnostic and, when the run was traced into a Collector,
-// the tail of the event ring for post-mortem context. Other panics are
-// modeling bugs and propagate.
+// cancellation (the core's cancel check panics a *CanceledError) into an
+// error — for watchdogs, one that carries the structured diagnostic and,
+// when the run was traced into a Collector, the tail of the event ring for
+// post-mortem context. Other panics are modeling bugs and propagate.
 func runCore(core *cpu.Core, o *Options) (cycles int64, err error) {
 	defer func() {
 		r := recover()

@@ -3,10 +3,10 @@
 # race-detected tests (exercising the parallel experiment runner), a short
 # fuzz smoke over the descriptor iterator, footprint abstraction and the
 # abstract-interpretation soundness oracle, a one-shot Fig 8 benchmark
-# smoke, execution-tier differential smokes, trace/fault determinism
-# smokes, the watchdog no-hang smoke, the wire-format canonicality smoke,
-# the prove/certificate smoke and the wall-clock perf gate against the
-# committed BENCH_simwall.json.
+# smoke, the examples smoke, execution-tier differential smokes,
+# trace/fault determinism smokes, the watchdog no-hang smoke, the
+# wire-format canonicality smoke, the prove/certificate smoke and the
+# wall-clock perf gate against the committed BENCH_simwall.json.
 set -eux
 cd "$(dirname "$0")/.."
 
@@ -35,6 +35,11 @@ go test -run '^$' -fuzz '^FuzzAbsintSoundness$' -fuzztime 5s ./internal/absint
 go test -run '^$' -fuzz '^FuzzWireDecode$' -fuzztime 5s ./internal/wire
 go test -run '^$' -fuzz '^FuzzWireRoundTrip$' -fuzztime 5s ./internal/wire
 go test -run '^$' -bench '^BenchmarkFig8$' -benchtime 1x .
+# Examples smoke: each example checks its own results (a wrong value
+# panics) and drives uve.Machine, the public front end to sim.
+for ex in quickstart faults rowmax stencil patterns; do
+    go run "./examples/$ex" > /dev/null
+done
 # Execution-tier smoke: the functional/cycle differential oracle and the
 # event-skip bit-equivalence suite race-detected, a short differential
 # fuzz pass, and one race-detected end-to-end functional sweep through

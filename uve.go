@@ -30,7 +30,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/funcsim"
+	"repro/internal/kernels"
 	"repro/internal/lint"
 	"repro/internal/mem"
 	"repro/internal/program"
@@ -271,12 +271,6 @@ func NewMachine(cfg Config, opts ...Option) *Machine {
 	for _, o := range opts {
 		o(&m.opts)
 	}
-	if m.opts.watchdog > 0 {
-		m.cfg.Core.Watchdog = m.opts.watchdog
-	}
-	if m.opts.maxCyc > 0 {
-		m.cfg.Core.MaxCycles = m.opts.maxCyc
-	}
 	return m
 }
 
@@ -320,204 +314,89 @@ func (m *Machine) Run(p *Program, args ...Arg) (*Result, error) {
 // fails with a *CanceledError wrapping ctx.Err(). The machine's simulated
 // memory may have been partially written by the aborted run; the machine
 // itself remains usable.
-func (m *Machine) RunContext(ctx context.Context, p *Program, args ...Arg) (*Result, error) {
+func (m *Machine) RunContext(ctx context.Context, p *Program, args ...Arg) (res *Result, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &CanceledError{Err: err}
 	}
-	if m.opts.fidelity == Functional {
-		return m.runFunctional(ctx, p, args)
-	}
-	var inj *fault.Injector
-	if m.opts.faults != nil && m.opts.faults.Enabled() {
-		// A fresh injector per run: the campaign replays identically on
-		// every Run call with the same plan.
-		inj = fault.NewInjector(*m.opts.faults)
-		m.hier.TLB.Inject = inj.PageFault
-		m.hier.DRAM.Inject = inj.DRAMDelay
-		defer func() {
-			m.hier.TLB.Inject = nil
-			m.hier.DRAM.Inject = nil
-		}()
-	}
-	sanitize, elided := m.resolveSanitize(p, args)
-	var eng *engine.Engine
-	if m.cfg.Streaming {
-		eng = engine.New(m.cfg.Engine, m.hier)
-		if sanitize {
-			eng.EnableSanitizer()
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("uve: simulation aborted: %v", r)
 		}
-		if m.opts.trace != nil {
-			eng.SetRecorder(m.opts.trace)
-		}
-		if inj != nil {
-			eng.SetInjector(inj)
-		}
-	}
-	core := cpu.New(m.cfg.Core, p, m.hier, eng)
-	if m.opts.trace != nil {
-		core.SetRecorder(m.opts.trace)
-	}
-	for _, a := range args {
-		a.apply(core)
-	}
-	if ctx.Done() != nil {
-		core.SetCancel(func(cycle int64) {
-			if cerr := ctx.Err(); cerr != nil {
-				panic(&CanceledError{Cycle: cycle, Err: cerr})
-			}
-		})
-	}
-	var cycles int64
-	var err error
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				switch e := r.(type) {
-				case *cpu.WatchdogError:
-					err = e
-				case *CanceledError:
-					err = e
-				default:
-					err = fmt.Errorf("uve: simulation aborted: %v", r)
-				}
-			}
-		}()
-		cycles = core.Run()
 	}()
-	if err != nil {
-		return nil, err
+	o := sim.Options{
+		Core:      m.cfg.Core,
+		Eng:       m.cfg.Engine,
+		Hier:      m.cfg.Memory,
+		Fidelity:  m.opts.fidelity,
+		Sanitize:  m.opts.sanitize,
+		Faults:    m.opts.faults,
+		Watchdog:  m.opts.watchdog,
+		MaxCycles: m.opts.maxCyc,
 	}
-	res := &Result{
-		Cycles:    cycles,
-		Committed: core.Stats.Committed,
-		Core:      core.Stats,
-		DRAM:      m.hier.DRAM.Stats,
-		L1:        m.hier.L1D.Stats,
-		L2:        m.hier.L2.Stats,
-		BusUtil:   m.hier.DRAM.Utilization(cycles),
-
-		SanitizerElided: elided,
-	}
-	if eng != nil {
-		res.Engine = eng.Stats
-		res.Collisions = eng.Collisions()
-	}
-	if inj != nil {
-		res.Faults = inj.Stats
-	}
-	return res, nil
-}
-
-// runFunctional is Run's Functional-tier path: program-order interpretation
-// against the machine's memory, filling only the architectural fields of
-// Result. Stream descriptors iterate through the same engine address logic
-// the detailed model uses, so descriptor semantics cannot drift.
-func (m *Machine) runFunctional(ctx context.Context, p *Program, args []Arg) (*Result, error) {
 	if m.opts.trace != nil {
-		return nil, fmt.Errorf("uve: WithFidelity(Functional) cannot record traces (no cycles to attribute events to)")
+		o.Trace = m.opts.trace
 	}
-	if m.opts.faults != nil && m.opts.faults.Enabled() {
-		return nil, fmt.Errorf("uve: WithFidelity(Functional) cannot inject faults (injectors perturb timing, which the tier does not model)")
-	}
-	sanitize, elided := m.resolveSanitize(p, args)
-	cfg := funcsim.Config{
-		VecBytes: m.cfg.Core.VecBytes,
-		Sanitize: sanitize,
-	}
-	if m.cfg.Core.MaxCycles > 0 {
-		cfg.MaxInsts = m.cfg.Core.MaxCycles * int64(m.cfg.Core.CommitWidth)
-	}
-	if ctx.Done() != nil {
-		cfg.Cancel = func(insts int64) error {
-			if cerr := ctx.Err(); cerr != nil {
-				return &CanceledError{Insts: insts, Err: cerr}
-			}
-			return nil
-		}
-	}
-	fm := funcsim.New(cfg, p, m.hier.Mem)
-	for _, a := range args {
-		a.applyFunc(fm)
-	}
-	if err := fm.Run(); err != nil {
-		return nil, fmt.Errorf("uve: %w", err)
-	}
-	res := &Result{
-		Committed:  fm.Committed(),
-		Collisions: fm.Collisions(),
-
-		SanitizerElided: elided,
-	}
-	res.Core.Committed = fm.Committed()
-	res.Core.CommittedByKind = fm.CommittedByKind()
-	return res, nil
-}
-
-// resolveSanitize decides whether shadow tracking runs for a program on
-// this machine, and whether it was elided by a safety certificate. Under
-// SanitizeAuto the program is statically verified first (entry argument
-// values seed the prover); only a certificate proving every dependence pair
-// disjoint elides the tracker, and fault campaigns never elide — injection
-// perturbs engine timing, and the sanitizer is the oracle that shows the
-// perturbation is architecturally invisible.
-func (m *Machine) resolveSanitize(p *Program, args []Arg) (enable, elided bool) {
-	if !m.cfg.Streaming {
-		return false, false
-	}
-	switch m.opts.sanitize {
-	case SanitizeOn:
-		return true, false
-	case SanitizeAuto:
-		if m.opts.faults != nil && m.opts.faults.Enabled() {
-			return true, false
-		}
-		ints := map[int]uint64{}
-		for _, a := range args {
-			if a.applyCost != nil {
-				a.applyCost(ints)
-			}
-		}
+	inst := &kernels.Instance{Prog: p}
+	inst.IntArgs, inst.FPArgs = splitArgs(args)
+	if m.cfg.Streaming && m.opts.sanitize == SanitizeAuto {
+		// Statically verify the program first; entry argument values seed
+		// the prover, and a certificate proving every dependence pair
+		// disjoint elides the tracker.
 		lo := &lint.Options{
-			EntryIntVals: ints,
+			EntryIntVals: inst.IntArgs,
 			Prove:        true,
 			VecBytes:     m.cfg.Core.VecBytes,
 		}
-		for r := range ints {
+		for r := range inst.IntArgs {
 			lo.EntryInt = append(lo.EntryInt, r)
 		}
-		diags, deps := lint.Analyze(p, lo)
-		if cert := lint.Certify(diags, deps); cert.CollisionFree {
-			return false, true
-		}
-		return true, false
+		inst.Diags, inst.Deps = lint.Analyze(p, lo)
 	}
-	return false, false
+	sr, err := sim.Execute(ctx, m.hier, inst, m.cfg.Streaming, &o)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Cycles:          sr.Cycles,
+		Committed:       sr.Committed,
+		Core:            sr.Core,
+		Engine:          sr.Eng,
+		DRAM:            sr.DRAM,
+		L1:              sr.L1,
+		L2:              sr.L2,
+		BusUtil:         sr.BusUtil,
+		Collisions:      sr.Collisions,
+		Faults:          sr.Faults,
+		SanitizerElided: sr.SanitizerElided,
+	}, nil
 }
 
-// Arg presets an architectural register before a run.
+// Arg presets an architectural register before a run: an integer register
+// and value, or an FP register, element width and value.
 type Arg struct {
-	apply     func(c *cpu.Core)
-	applyFunc func(f *funcsim.Machine)
-	applyCost func(args map[int]uint64)
+	reg int
+	w   ElemWidth // zero for integer arguments
+	i   uint64
+	f   float64
 }
 
 // IntArg places v in integer register xN.
-func IntArg(n int, v uint64) Arg {
-	return Arg{
-		apply:     func(c *cpu.Core) { c.SetIntReg(n, v) },
-		applyFunc: func(f *funcsim.Machine) { f.SetIntReg(n, v) },
-		applyCost: func(args map[int]uint64) { args[n] = v },
-	}
-}
+func IntArg(n int, v uint64) Arg { return Arg{reg: n, i: v} }
 
 // FloatArg places v (width w) in FP register fN.
-func FloatArg(n int, w ElemWidth, v float64) Arg {
-	return Arg{
-		apply:     func(c *cpu.Core) { c.SetFPReg(n, w, v) },
-		applyFunc: func(f *funcsim.Machine) { f.SetFPReg(n, w, v) },
-		// The cost model does not track FP values: they never reach
-		// control flow or addresses in this ISA.
+func FloatArg(n int, w ElemWidth, v float64) Arg { return Arg{reg: n, w: w, f: v} }
+
+// splitArgs sorts args into integer and FP register presets.
+func splitArgs(args []Arg) (map[int]uint64, map[int]kernels.FPArg) {
+	ints, fps := map[int]uint64{}, map[int]kernels.FPArg{}
+	for _, a := range args {
+		if a.w == 0 {
+			ints[a.reg] = a.i
+		} else {
+			fps[a.reg] = kernels.FPArg{W: a.w, V: a.f}
+		}
 	}
+	return ints, fps
 }
 
 // CostEstimate is the static cost model's result: exact (or explicitly
@@ -541,17 +420,11 @@ type CostQuantity = cost.Quantity
 // FloatArgs are ignored.
 func (m *Machine) EstimateCost(p *Program, args ...Arg) (*CostEstimate, error) {
 	params := cost.Params{
-		Core:    m.cfg.Core,
-		Eng:     m.cfg.Engine,
-		Hier:    m.cfg.Memory,
-		IntArgs: map[int]uint64{},
+		Core: m.cfg.Core,
+		Eng:  m.cfg.Engine,
+		Hier: m.cfg.Memory,
 	}
-	params.Eng.VecBytes = m.cfg.Core.VecBytes
-	for _, a := range args {
-		if a.applyCost != nil {
-			a.applyCost(params.IntArgs)
-		}
-	}
+	params.IntArgs, _ = splitArgs(args)
 	return cost.Analyze(p, params)
 }
 
